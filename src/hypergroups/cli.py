@@ -21,12 +21,13 @@ from .core import (
     Multistructure,
     NotAHypergroup,
     ParseError,
-    as_multistructure,
     find_isomorphism,
     from_json,
+    json_obj,
     mask_of,
     members,
     opposite,
+    restricted_growth,
     verify_axioms,
 )
 from .groups import (
@@ -63,7 +64,6 @@ from .simplicity import (
     DEFAULT_SIMPLICITY_CAP,
     bell_number,
     invariant_modulo_subgroups,
-    is_simple_coset,
     reflector_congruences,
     reflets,
 )
@@ -73,17 +73,17 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _ms_obj(m) -> dict:
-    m = as_multistructure(m)
-    return {
-        "elements": list(m.names),
-        "table": [[[m.names[z] for z in members(e)] for e in row] for row in m.table],
-    }
-
-
 def _read_structure(path: str) -> Multistructure:
     with open(path, "r", encoding="utf-8") as fh:
         return from_json(fh.read())
+
+
+def _read_hypergroup(path: str, cap_n: int) -> Hypergroup:
+    """A structure for congruence search, refused by size before certify."""
+    m = _read_structure(path)
+    if m.n > cap_n:
+        raise CapExceeded(f"carrier size {m.n} exceeds simplicity cap {cap_n}")
+    return Hypergroup.certify(m)
 
 
 def _parse_brace_list(token: str) -> list[str]:
@@ -159,7 +159,8 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
     classes: {a b} {c}
 
     Blank lines and lines starting with # are skipped. The classes line
-    defines the presentation's equivalence.
+    defines the presentation's equivalence; like the elements line it
+    separates names by whitespace only, so names may hold commas.
     """
     names: Optional[list[str]] = None
     index: dict[str, int] = {}
@@ -215,7 +216,7 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
                 end = body.find("}", pos)
                 if end == -1:
                     raise ParseError(f"line {ln}: unterminated block")
-                for s in body[pos + 1:end].replace(",", " ").split():
+                for s in body[pos + 1:end].split():
                     if s not in index:
                         raise ParseError(f"line {ln}: unknown element name {s!r}")
                     if labels[index[s]] != -1:
@@ -233,18 +234,7 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
         raise ParseError("no elements line")
     if labels is None:
         raise ParseError("no classes line")
-    canon = EquivalenceRelation.from_labels(labels) if len(names) <= 64 else None
-    if canon is not None:
-        r = canon.class_of
-    else:
-        seen: dict[int, int] = {}
-        out = []
-        for lab in labels:
-            if lab not in seen:
-                seen[lab] = len(seen)
-            out.append(seen[lab])
-        r = tuple(out)
-    return Trame(tuple(names), op), r
+    return Trame(tuple(names), op), restricted_growth(labels)
 
 
 def format_trame(t: Trame, r: Sequence[int]) -> str:
@@ -296,7 +286,7 @@ def _cmd_gen(args) -> int:
         m = quotient(canonical_presentation(ms, args.cap_trame))
     else:
         raise ParseError(f"unknown generator {kind!r}")
-    _emit(_ms_obj(m))
+    _emit(json_obj(m))
     return 0
 
 
@@ -317,14 +307,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simple(args) -> int:
-    m = _read_structure(args.file)
-    h = Hypergroup.certify(m)
+    h = _read_hypergroup(args.file, args.cap_n)
     congruences = reflector_congruences(h, args.cap_n)
     simple = h.n > 1 and len(congruences) == 2
     witness = None
     for c in congruences:
         if 1 < c.eq.k < h.n:
-            witness = [[m.names[i] for i in members(cm)] for cm in c.eq.class_masks]
+            witness = [[h.names[i] for i in members(cm)] for cm in c.eq.class_masks]
             break
     _emit({
         "simple": simple,
@@ -340,7 +329,8 @@ def _cmd_simple_coset(args) -> int:
     g = _load_group(args.group, args.cap_group)
     h = _load_subgroup(g, args.subgroup)
     inv = invariant_modulo_subgroups(g, h, args.cap_group)
-    simple = is_simple_coset(g, h, args.cap_group)
+    # h and the whole group always qualify; h = G leaves one subgroup
+    simple = len(inv) == 2
     witness = None
     for k in inv:
         if k.mask not in (h.mask, g.full_mask):
@@ -355,10 +345,8 @@ def _cmd_simple_coset(args) -> int:
 
 
 def _cmd_reflets(args) -> int:
-    m = _read_structure(args.file)
-    h = Hypergroup.certify(m)
-    rs = reflets(h, args.cap_n)
-    _emit({"count": len(rs), "reflets": [_ms_obj(q) for q in rs]})
+    rs = reflets(_read_hypergroup(args.file, args.cap_n), args.cap_n)
+    _emit({"count": len(rs), "reflets": [json_obj(q) for q in rs]})
     return 0
 
 
@@ -375,7 +363,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_opposite(args) -> int:
     m = _read_structure(args.file)
-    _emit(_ms_obj(opposite(m)))
+    _emit(json_obj(opposite(m)))
     return 0
 
 
@@ -399,11 +387,11 @@ def _cmd_trame(args) -> int:
         raise CapExceeded(f"trame size {t.t_n} exceeds cap {args.cap_trame}")
     p = Presentation(t, r)
     if args.action == "quotient":
-        _emit(_ms_obj(quotient(p)))
+        _emit(json_obj(quotient(p)))
         return 0
     if args.action == "adequate":
         rep = is_adequate(p)
-        names = quotient(p).names
+        names = p.class_names()
         _emit({
             "adequate": bool(rep),
             "reproductive": rep.reproductive,

@@ -32,17 +32,14 @@ from .groups import (
     coset_mask,
     from_permutations,
 )
-from .presentations import Presentation, Trame, coset_relation
+from .presentations import DEFAULT_TRAME_CAP, Presentation, Trame, coset_relation
 
 
 def _coset_structure(g: GroupTable, hmask: int, side: str) -> Hypergroup:
     # discover cosets by scanning representatives in index order
     labels = coset_relation(g, hmask, side)
     k = max(labels) + 1
-    reps = [-1] * k
-    for x in range(g.n):
-        if reps[labels[x]] == -1:
-            reps[labels[x]] = x
+    reps = [labels.index(c) for c in range(k)]
     if side == "right":
         names = tuple(g.names[reps[c]] + "H" for c in range(k))
     else:
@@ -179,7 +176,6 @@ def s_family_group_realization(sizes: Sequence[int],
     order = math.factorial(n) ** b * math.factorial(b)
     if order > cap:
         raise CapExceeded(f"realization order {order} exceeds cap {cap}")
-    points = list(range(n * b))
     perms = []
     for blockperm in itertools.permutations(range(b)):
         for within in itertools.product(itertools.permutations(range(n)), repeat=b):
@@ -191,7 +187,6 @@ def s_family_group_realization(sizes: Sequence[int],
                     p[src_block * n + i] = dst_block * n + w[i]
             perms.append(tuple(p))
     g = from_permutations(perms)
-    del points
     from .groups import stabilizer_subgroup
     return g, stabilizer_subgroup(g, 0)
 
@@ -306,7 +301,7 @@ def utumi_simplicity_criterion(data: UtumiInput) -> bool:
     return True
 
 
-def canonical_presentation(h, cap: int = 65536) -> Presentation:
+def canonical_presentation(h, cap: int = DEFAULT_TRAME_CAP) -> Presentation:
     """Exhibit any multistructure as a quotient of a partial operation.
 
     The carrier is H x H^3 with one composable pair per witness triple:

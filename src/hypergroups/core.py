@@ -417,6 +417,13 @@ def is_cogroup(h: Structure) -> bool:
     return bool(cogroup_report(h))
 
 
+def restricted_growth(labels: Iterable) -> tuple[int, ...]:
+    """Renumber labels by first occurrence (the first is 0, each new one
+    the previous maximum plus one); builds no masks, so any size works."""
+    seen: dict = {}
+    return tuple(seen.setdefault(lab, len(seen)) for lab in labels)
+
+
 @dataclass(frozen=True)
 class EquivalenceRelation:
     """An equivalence on {0..n-1}, stored as canonical class labels.
@@ -432,13 +439,9 @@ class EquivalenceRelation:
     def __post_init__(self):
         if not self.class_of:
             raise ValueError("relation over an empty carrier")
-        nxt = 0
-        for lab in self.class_of:
-            if lab > nxt or lab < 0:
-                raise ValueError("class labels must be in restricted-growth order")
-            if lab == nxt:
-                nxt += 1
-        masks = [0] * nxt
+        if restricted_growth(self.class_of) != tuple(self.class_of):
+            raise ValueError("class labels must be in restricted-growth order")
+        masks = [0] * (max(self.class_of) + 1)
         for i, lab in enumerate(self.class_of):
             masks[lab] |= 1 << i
         object.__setattr__(self, "class_masks", tuple(masks))
@@ -462,13 +465,7 @@ class EquivalenceRelation:
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "EquivalenceRelation":
         """Relabel an arbitrary labeling into canonical form."""
-        seen: dict[int, int] = {}
-        out = []
-        for lab in labels:
-            if lab not in seen:
-                seen[lab] = len(seen)
-            out.append(seen[lab])
-        return cls(tuple(out))
+        return cls(restricted_growth(labels))
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "EquivalenceRelation":
@@ -524,20 +521,24 @@ def all_equivalences(n: int) -> Iterator[EquivalenceRelation]:
 
     if n == 0:
         return iter(())
-    return rec(1, 1) if n > 0 else iter(())
+    return rec(1, 1)
 
 
 # --- canonical JSON form ---------------------------------------------------
 
 
-def to_json(m: Structure) -> str:
-    """Canonical JSON: fixed key order, product entries in carrier order."""
+def json_obj(m: Structure) -> dict:
+    """The canonical JSON form as a dict (see to_json)."""
     m = as_multistructure(m)
-    obj = {
+    return {
         "elements": list(m.names),
         "table": [[[m.names[z] for z in members(e)] for e in row] for row in m.table],
     }
-    return json.dumps(obj, separators=(",", ":"))
+
+
+def to_json(m: Structure) -> str:
+    """Canonical JSON: fixed key order, product entries in carrier order."""
+    return json.dumps(json_obj(m), separators=(",", ":"))
 
 
 def from_json(text: str) -> Multistructure:

@@ -6,8 +6,9 @@ an equivalence R produces a multivalued table: a class Z lies in X.Y when
 some composable pair (u, v) with u in X, v in Y has u.v in Z.
 
 Adequacy is the pair of conditions under which that quotient satisfies
-the hypergroup axioms; each condition is checked directly on the trame,
-not by building the quotient, so the two routes stay independent.
+the hypergroup axioms, and invariance of a coarser equivalence is the
+saturation identity of its classes on the quotient; both are decided on
+the quotient's table.
 """
 
 from __future__ import annotations
@@ -17,17 +18,20 @@ from typing import Iterator, Optional
 
 from .core import (
     CapExceeded,
-    EquivalenceRelation,
     Hypergroup,
-    Mapping,
     Multistructure,
-    all_equivalences,
-    is_reflector,
     members,
+    restricted_growth,
+    verify_axioms,
+)
+from .simplicity import (
+    DEFAULT_SIMPLICITY_CAP,
+    bell_number,
+    reflector_congruences,
+    saturation_identity,
 )
 
 DEFAULT_TRAME_CAP = 65536
-DEFAULT_PARTITION_CAP = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,13 +77,9 @@ class Presentation:
     def __post_init__(self):
         if len(self.r) != self.trame.t_n:
             raise ValueError("relation must label every trame element")
-        nxt = 0
-        for lab in self.r:
-            if lab > nxt or lab < 0:
-                raise ValueError("class labels must be in restricted-growth order")
-            if lab == nxt:
-                nxt += 1
-        object.__setattr__(self, "_k", nxt)
+        if restricted_growth(self.r) != tuple(self.r):
+            raise ValueError("class labels must be in restricted-growth order")
+        object.__setattr__(self, "_k", max(self.r) + 1)
 
     @property
     def k(self) -> int:
@@ -90,6 +90,14 @@ class Presentation:
         for i, lab in enumerate(self.r):
             out[lab].append(i)
         return out
+
+    def class_names(self) -> tuple[str, ...]:
+        """Each class named after its least member."""
+        out: list[str] = []
+        for name, lab in zip(self.trame.names, self.r):
+            if lab == len(out):
+                out.append(name)
+        return tuple(out)
 
 
 def group_trame(g) -> Trame:
@@ -105,23 +113,11 @@ def coset_relation(g, hmask: int, side: str) -> tuple[int, ...]:
     """Labels of the coset partition, numbered in least-element order."""
     from .groups import coset_mask
     labels = [-1] * g.n
-    nxt = 0
     for x in range(g.n):
-        if labels[x] != -1:
-            continue
-        cm = coset_mask(g, hmask, x, side)
-        for y in members(cm):
-            labels[y] = nxt
-        nxt += 1
-    return tuple(labels)
-
-
-def _class_names(names: tuple[str, ...], r: tuple[int, ...], k: int) -> tuple[str, ...]:
-    first = [-1] * k
-    for i, lab in enumerate(r):
-        if first[lab] == -1:
-            first[lab] = i
-    return tuple(names[first[lab]] for lab in range(k))
+        if labels[x] == -1:  # x is the least member of its coset
+            for y in members(coset_mask(g, hmask, x, side)):
+                labels[y] = x
+    return restricted_growth(labels)
 
 
 def quotient(p: Presentation) -> Multistructure:
@@ -132,8 +128,7 @@ def quotient(p: Presentation) -> Multistructure:
     table = [[0] * k for _ in range(k)]
     for u, v, w in t.pairs():
         table[r[u]][r[v]] |= 1 << r[w]
-    return Multistructure(_class_names(t.names, r, k),
-                          tuple(tuple(row) for row in table))
+    return Multistructure(p.class_names(), tuple(tuple(row) for row in table))
 
 
 @dataclass(frozen=True)
@@ -148,86 +143,29 @@ class AdequacyReport:
 
 
 def is_adequate(p: Presentation) -> AdequacyReport:
-    """Check the two quotient-hypergroup conditions on the trame itself.
+    """The two conditions under which the quotient is a hypergroup.
 
-    Condition (1), reproductivity: for every ordered class pair (X, Y)
-    some composable pair meets X x Y, some meets Y x X, and the products
-    over X x * together with * x X reach every class. Stated here as:
-    row coverage of X (classes of u.v over composable (u,v) with u in X)
-    and column coverage of X are both the full class set.
-
-    Condition (2), associativity of the induced table: for every class
-    triple (X, Y, Z) the saturated left chains equal the saturated right
-    chains. A left chain takes p in the R-saturation of products of
-    X x Y, then a composable (p, t) with t in Z; a right chain takes a
-    composable (r, q) with r in X and q in the saturation of products of
-    Y x Z. The two resulting class sets must be equal. Failures report
-    the lexicographically first class pair or triple.
+    Condition (1), reproductivity: the products over X x * and over
+    * x X reach every class, for every class X. Condition (2):
+    associativity of the induced table. Both are read off
+    verify_axioms(quotient(p)), with its first associativity witness;
+    the reproductivity witness is (X, Y) for its first failing X and the
+    first class Y missing from X's row or column coverage. Raises
+    CapExceeded above 64 classes, as quotient does.
     """
-    t, r, k = p.trame, p.r, p.k
-    cls_members = p.class_members()
-
-    # class-set products P[X][Y] = set of classes of u.v, (u,v) in C
-    prod: list[list[set[int]]] = [[set() for _ in range(k)] for _ in range(k)]
-    rowcov = [set() for _ in range(k)]
-    colcov = [set() for _ in range(k)]
-    for u, v, w in t.pairs():
-        prod[r[u]][r[v]].add(r[w])
-        rowcov[r[u]].add(r[w])
-        colcov[r[v]].add(r[w])
-
-    allk = set(range(k))
-    reproductive = True
+    q = quotient(p)
+    rep = verify_axioms(q)
     repro_witness = None
-    for x in range(k):
-        if rowcov[x] != allk or colcov[x] != allk:
-            reproductive = False
-            repro_witness = (x, 0)
-            break
-    # the witness pair is the first (X, Y) with Y unreachable either way
-    if not reproductive:
-        x = repro_witness[0]
-        for y in range(k):
-            if y not in rowcov[x] or y not in colcov[x]:
-                repro_witness = (x, y)
-                break
-
-    # saturation of a class set is itself; saturate element sets instead
-    def sat_members(classes: set[int]) -> list[int]:
-        out = []
-        for c in classes:
-            out.extend(cls_members[c])
-        return out
-
-    associative = True
-    assoc_witness = None
-    for x in range(k):
-        for y in range(k):
-            left_pool = sat_members(prod[x][y])
-            for z in range(k):
-                lhs = set()
-                for pp in left_pool:
-                    for tt in cls_members[z]:
-                        w = t.op.get((pp, tt))
-                        if w is not None:
-                            lhs.add(r[w])
-                rhs = set()
-                right_pool = sat_members(prod[y][z])
-                for rr in cls_members[x]:
-                    for qq in right_pool:
-                        w = t.op.get((rr, qq))
-                        if w is not None:
-                            rhs.add(r[w])
-                if lhs != rhs:
-                    associative = False
-                    assoc_witness = (x, y, z)
-                    break
-            if not associative:
-                break
-        if not associative:
-            break
-
-    return AdequacyReport(reproductive, associative, repro_witness, assoc_witness)
+    if not rep.reproductive:
+        x = rep.repro_witness
+        row = col = 0
+        for y in range(q.n):
+            row |= q.table[x][y]
+            col |= q.table[y][x]
+        missing = q.full_mask & ~(row & col)
+        repro_witness = (x, (missing & -missing).bit_length() - 1)
+    return AdequacyReport(rep.reproductive, rep.associative,
+                          repro_witness, rep.assoc_witness)
 
 
 def is_invariant_modulo_equiv(t: Trame, r: tuple[int, ...],
@@ -242,7 +180,8 @@ def is_invariant_modulo_equiv(t: Trame, r: tuple[int, ...],
                   = union of P'.Q over P' S-equivalent to P
 
     for every R-class pair, where satS closes a set of R-classes under
-    S. This is exactly the requirement that the class-collapsing map
+    S: S, read on R-classes, is a reflector congruence of the quotient
+    by R. This is exactly the requirement that the class-collapsing map
     from the R-quotient onto the S-quotient pulls products back
     coherently; a weaker per-block-constancy reading (the products of
     all R-class pairs within one S-block coincide after collapsing to
@@ -258,61 +197,31 @@ def is_invariant_modulo_equiv(t: Trame, r: tuple[int, ...],
             return False
 
     kr = max(r) + 1
-    prod_r: list[dict[int, set[int]]] = [dict() for _ in range(kr)]
-    for u, v, w in t.pairs():
-        prod_r[r[u]].setdefault(r[v], set()).add(r[w])
-
-    block: dict[int, list[int]] = {}
-    for lab in range(kr):
-        block.setdefault(image[lab], []).append(lab)
-
-    empty: set[int] = set()
-    for p in range(kr):
-        for q in range(kr):
-            base = prod_r[p].get(q, empty)
-            sat: set[int] = set()
-            for w in base:
-                sat.update(block[image[w]])
-            row: set[int] = set()
-            for q2 in block[image[q]]:
-                row.update(prod_r[p].get(q2, empty))
-            if row != sat:
-                return False
-            col: set[int] = set()
-            for p2 in block[image[p]]:
-                col.update(prod_r[p2].get(q, empty))
-            if col != sat:
-                return False
-    return True
+    rows: list[dict[int, int]] = [{} for _ in range(kr)]
+    for (u, v), w in t.op.items():
+        row = rows[r[u]]
+        row[r[v]] = row.get(r[v], 0) | 1 << r[w]
+    # the R-quotient's rows and columns, one at a time: masks of any
+    # width, so R may have more than 64 classes
+    return saturation_identity(([row.get(c, 0) for c in range(kr)] for row in rows),
+                               ([row.get(c, 0) for row in rows] for c in range(kr)),
+                               [image[lab] for lab in range(kr)])
 
 
 def reflect(p: Presentation, s: tuple[int, ...]) -> Hypergroup:
     """Quotient the presentation by a coarser invariant relation S.
 
     Preconditions: the presentation is adequate, R refines S, and S is
-    invariant modulo R. The result is certified, and the induced map
-    from the R-quotient onto the S-quotient is checked to pull products
-    back coherently.
+    invariant modulo R. Invariance makes the induced map from the
+    R-quotient onto the S-quotient pull products back coherently, and
+    the S-quotient is certified.
     """
     rep = is_adequate(p)
     if not rep:
         raise ValueError(f"presentation is not adequate: {rep}")
     if not is_invariant_modulo_equiv(p.trame, p.r, s):
         raise ValueError("relation is not invariant modulo the presentation")
-    fine = Hypergroup.certify(quotient(p))
-    coarse = Hypergroup.certify(quotient(Presentation(p.trame, s)))
-    # induced class map: R-class -> S-class via any member
-    img = [-1] * p.k
-    for i, lab in enumerate(p.r):
-        img[lab] = s[i]
-    f = Mapping(fine.m, coarse.m, tuple(img))
-    assert is_reflector(f), "induced class map fails the product pullback identity"
-    return coarse
-
-
-def _lift_labels(r: tuple[int, ...], part: EquivalenceRelation) -> tuple[int, ...]:
-    """Compose element->R-class->partition-class; stays restricted-growth."""
-    return tuple(part.class_of[lab] for lab in r)
+    return Hypergroup.certify(quotient(Presentation(p.trame, s)))
 
 
 @dataclass(frozen=True)
@@ -326,25 +235,17 @@ class PresentationSimplicity:
 
 
 def presentation_simplicity(p: Presentation,
-                            cap: int = DEFAULT_PARTITION_CAP) -> PresentationSimplicity:
+                            cap: int = DEFAULT_SIMPLICITY_CAP) -> PresentationSimplicity:
     """Decide simplicity of the quotient by counting invariant coarsenings.
 
-    Enumerates every partition of the R-class set, lifts it to element
-    labels, and counts those invariant modulo R. The quotient is simple
-    when exactly the discrete and total coarsenings qualify.
+    The invariant coarsenings are the reflector congruences of the
+    certified quotient, found by the pruned search over the Bell(k)
+    partitions of the k classes (reported as checked). The quotient is
+    simple when exactly the discrete and total coarsenings qualify.
+    Raises NotAHypergroup (a ValueError) when p is not adequate.
     """
-    rep = is_adequate(p)
-    if not rep:
-        raise ValueError(f"presentation is not adequate: {rep}")
-    if p.k > cap:
-        raise CapExceeded(f"{p.k} classes exceeds partition cap {cap}")
+    h = Hypergroup.certify(quotient(p))
     if p.k == 1:
         raise ValueError("quotient is trivial, simplicity is undefined for it")
-    invariant = 0
-    checked = 0
-    for part in all_equivalences(p.k):
-        checked += 1
-        s = _lift_labels(p.r, part)
-        if is_invariant_modulo_equiv(p.trame, p.r, s):
-            invariant += 1
-    return PresentationSimplicity(invariant == 2, invariant, checked)
+    invariant = len(reflector_congruences(h, cap))
+    return PresentationSimplicity(invariant == 2, invariant, bell_number(p.k))

@@ -12,15 +12,14 @@ subgroup-side decider for coset structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .core import (
     CapExceeded,
     EquivalenceRelation,
     Hypergroup,
-    Mapping,
     Multistructure,
     find_isomorphism,
-    is_reflector,
     members,
 )
 from .groups import (
@@ -34,6 +33,32 @@ from .groups import (
 DEFAULT_SIMPLICITY_CAP = 12
 
 
+def saturation_identity(rows: Iterable[Sequence[int]], cols: Iterable[Sequence[int]],
+                        class_of: Sequence[int]) -> bool:
+    """is_reflector_congruence's identity on a table given by its rows and
+    its columns, as masks over the carrier that class_of labels.
+
+    Rows check sat(x.y) against the row union over the class of y,
+    columns against the column union over the class of x. Masks are
+    plain ints, so the carrier may exceed 64 elements.
+    """
+    masks = [0] * (max(class_of) + 1)
+    for i, lab in enumerate(class_of):
+        masks[lab] |= 1 << i
+    sat = {0: 0}
+    for lines in (rows, cols):
+        for line in lines:
+            union = [0] * len(masks)
+            for y, e in enumerate(line):
+                union[class_of[y]] |= e
+            for y, e in enumerate(line):
+                if e not in sat:  # the classes are disjoint: sum is union
+                    sat[e] = sum(cm for cm in masks if cm & e)
+                if union[class_of[y]] != sat[e]:
+                    return False
+    return True
+
+
 def is_reflector_congruence(h: Hypergroup, eq: EquivalenceRelation) -> bool:
     """The three-way saturation identity at every pair.
 
@@ -44,23 +69,7 @@ def is_reflector_congruence(h: Hypergroup, eq: EquivalenceRelation) -> bool:
     """
     if eq.n != h.n:
         raise ValueError("relation carrier differs from hypergroup carrier")
-    n = h.n
-    table = h.table
-    k = eq.k
-    # rowsum[x][c] = union of x.y' over y' in class c; colsum[y][c] dual
-    rowsum = [[0] * k for _ in range(n)]
-    colsum = [[0] * k for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            e = table[x][y]
-            rowsum[x][eq.class_of[y]] |= e
-            colsum[y][eq.class_of[x]] |= e
-    for x in range(n):
-        for y in range(n):
-            s = eq.sat(table[x][y])
-            if rowsum[x][eq.class_of[y]] != s or colsum[y][eq.class_of[x]] != s:
-                return False
-    return True
+    return saturation_identity(h.table, zip(*h.table), eq.class_of)
 
 
 @dataclass(frozen=True)
@@ -97,10 +106,7 @@ def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
                     mask |= 1 << cidx
             row.append(mask)
         table.append(tuple(row))
-    q = Hypergroup.certify(Multistructure(names, tuple(table)))
-    f = Mapping(h.m, q.m, tuple(eq.class_of))
-    assert is_reflector(f), "class projection fails the pullback identities"
-    return q
+    return Hypergroup.certify(Multistructure(names, tuple(table)))
 
 
 def _suffix_unions(table, n):
@@ -192,9 +198,6 @@ def reflector_congruences(h: Hypergroup,
                 return True
         return False
 
-    labels[0] = 0
-    if n == 1:
-        return [ReflectorCongruence(h, EquivalenceRelation((0,)))]
     rec(1, 1)
     return out
 

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from hypergroups.cli import format_trame, parse_trame
-from hypergroups.groups import symmetric_group
+from hypergroups.constructions import canonical_presentation, s_family
+from hypergroups.groups import cyclic_group, symmetric_group
 from hypergroups.presentations import Trame, coset_relation, group_trame
 
 STAB3 = ('{"elements":["e","y1","y2"],"table":[[["e"],["y1","y2"],["y1","y2"]],'
@@ -177,6 +178,17 @@ def test_simple_coset_golden():
     assert r.returncode == 0 and json.loads(r.stdout)["simple"]
 
 
+def test_simple_refuses_oversized_before_certifying(tmp_path):
+    # 13 elements and not associative: the cap refuses it before the
+    # axiom check could report the failure
+    sf = tmp_path / "sf211.json"
+    sf.write_text(run_cli("gen", "s-family", "2", "11").stdout)
+    for verb in ("simple", "reflets"):
+        r = run_cli(verb, str(sf))
+        assert r.returncode == 3 and r.stdout == "", (verb, r.stderr)
+        assert "exceeds" in r.stderr
+
+
 def test_reflets_golden(files):
     r = run_cli("reflets", files["cyc4.json"])
     assert r.returncode == 0
@@ -271,6 +283,19 @@ def test_trame_invariant(files):
     assert missing.returncode == 2 and "--s" in missing.stderr
 
 
+def test_trame_invariant_above_64_classes(tmp_path):
+    # C100 under the identity relation: 100 classes, past the mask width
+    g = cyclic_group(100)
+    path = tmp_path / "c100.trame"
+    path.write_text(format_trame(group_trame(g), tuple(range(100))))
+    cosets = "|".join(f"{{{i},{i + 50}}}" for i in range(50))
+    r = run_cli("trame", "invariant", str(path), "--s", cosets)
+    assert r.returncode == 0 and r.stdout == '{"invariant":true}\n', r.stderr
+    pairs = "|".join(f"{{{2 * i},{2 * i + 1}}}" for i in range(50))
+    r = run_cli("trame", "invariant", str(path), "--s", pairs)
+    assert r.returncode == 1 and r.stdout == '{"invariant":false}\n', r.stderr
+
+
 def test_trame_parse_errors(tmp_path):
     cases = [
         ("elements: a b\ncompose: a q -> b\nclasses: {a b}\n",
@@ -315,6 +340,8 @@ def test_trame_roundtrip():
     t = group_trame(sym3)
     rel = coset_relation(sym3, 0b000011, "right")
     fixtures = [(t, rel)]
+    canon = canonical_presentation(s_family((3, 3)))  # names like e|e,e,e
+    fixtures.append((canon.trame, canon.r))
     for text in (TRAME_A, TRAME_B):
         fixtures.append(parse_trame(text))
     rng = random.Random(1)

@@ -263,6 +263,34 @@ def test_invariance_modulo_examples(sym3):
     assert not is_invariant_modulo(sym3, h, 0b011001)
 
 
+def invariant_by_definition(g, hmask, kmask) -> bool:
+    """KxK = HxK = KxH for every x, by plain set products."""
+    h, k = members(hmask), members(kmask)
+
+    def prod(a, b):
+        return {g.table[u][v] for u in a for v in b}
+
+    for x in range(g.n):
+        kx, xk, xh = prod(k, [x]), prod([x], k), prod([x], h)
+        if not prod(kx, k) == prod(h, xk) == prod(k, xh):
+            return False
+    return True
+
+
+def test_invariance_modulo_matches_definition(sym3, sym4, dih8, dih12, z8, klein):
+    pairs = invariant = 0
+    for g in (sym3, sym4, dih8, dih12, z8, klein):
+        subs = subgroups(g)
+        for hs in subs:
+            for ks in subs:
+                got = is_invariant_modulo(g, hs.mask, ks.mask)
+                assert got == invariant_by_definition(g, hs.mask, ks.mask), \
+                    (g.names, hs.mask, ks.mask)
+                pairs += 1
+                invariant += got
+    assert pairs >= 1000 and 100 <= invariant <= pairs - 100
+
+
 def test_as_hypergroup_univalent(sym3):
     from hypergroups.core import is_group
     h = as_hypergroup(sym3)

@@ -116,6 +116,90 @@ def literal_block_constancy(t: Trame, r, s) -> bool:
     return True
 
 
+def trame_adequacy_scan(p: Presentation):
+    """Both adequacy conditions checked element by element on the trame.
+
+    Reproductivity: the classes of u.v over composable (u, v) with u in X
+    (row coverage) and with v in X (column coverage) are all classes; the
+    witness is (X, first Y missing from either). Associativity: for every
+    class triple (X, Y, Z), composing the R-saturation of the products of
+    X x Y with Z reaches the same classes as composing X with the
+    R-saturation of the products of Y x Z; the witness is the first
+    failing triple. Returns the four fields of an AdequacyReport.
+    """
+    t, r, k = p.trame, p.r, p.k
+    cls = [[] for _ in range(k)]
+    for i, lab in enumerate(r):
+        cls[lab].append(i)
+    prod = [[set() for _ in range(k)] for _ in range(k)]
+    rowcov = [set() for _ in range(k)]
+    colcov = [set() for _ in range(k)]
+    for (u, v), w in t.op.items():
+        prod[r[u]][r[v]].add(r[w])
+        rowcov[r[u]].add(r[w])
+        colcov[r[v]].add(r[w])
+    repro_witness = None
+    for x in range(k):
+        missing = [y for y in range(k) if y not in rowcov[x] or y not in colcov[x]]
+        if missing:
+            repro_witness = (x, missing[0])
+            break
+
+    def sat_members(classes):
+        return [e for c in classes for e in cls[c]]
+
+    assoc_witness = None
+    for x, y, z in itertools.product(range(k), repeat=3):
+        lhs = {r[t.op[a, b]] for a in sat_members(prod[x][y]) for b in cls[z]
+               if (a, b) in t.op}
+        rhs = {r[t.op[a, b]] for a in cls[x] for b in sat_members(prod[y][z])
+               if (a, b) in t.op}
+        if lhs != rhs:
+            assoc_witness = (x, y, z)
+            break
+    return (repro_witness is None, assoc_witness is None,
+            repro_witness, assoc_witness)
+
+
+def rclass_invariance(t: Trame, r, s) -> bool:
+    """S invariant modulo R, by sets of R-classes over every R-class pair.
+
+    R must refine S; then for all R-classes P, Q the S-saturation of P.Q,
+    the union of P.Q' over Q' S-equivalent to Q, and the union of P'.Q
+    over P' S-equivalent to P coincide.
+    """
+    image = {}
+    for i, lab in enumerate(r):
+        if image.setdefault(lab, s[i]) != s[i]:
+            return False
+    kr = max(r) + 1
+    prod = {}
+    for (u, v), w in t.op.items():
+        prod.setdefault((r[u], r[v]), set()).add(r[w])
+    block = {}
+    for lab in range(kr):
+        block.setdefault(image[lab], []).append(lab)
+    for p in range(kr):
+        for q in range(kr):
+            sat = {c for w in prod.get((p, q), ()) for c in block[image[w]]}
+            row = {c for q2 in block[image[q]] for c in prod.get((p, q2), ())}
+            col = {c for p2 in block[image[p]] for c in prod.get((p2, q), ())}
+            if not sat == row == col:
+                return False
+    return True
+
+
+def bell_sweep_simplicity(p: Presentation):
+    """(simple, invariant count, partitions checked) by lifting every
+    partition of the R-classes to the trame and testing its invariance."""
+    invariant = checked = 0
+    for part in all_equivalences(p.k):
+        checked += 1
+        s = tuple(part.class_of[lab] for lab in p.r)
+        invariant += rclass_invariance(p.trame, p.r, s)
+    return invariant == 2, invariant, checked
+
+
 def naive_quotient_sets(t: Trame, r):
     k = max(r) + 1
     out = [[set() for _ in range(k)] for _ in range(k)]
@@ -429,3 +513,75 @@ def test_presentation_simplicity_errors(sym3, z8):
     bad = canonical_presentation(s_family((2, 3)))
     with pytest.raises(ValueError):
         presentation_simplicity(bad)  # not adequate
+
+
+# --- the library against the element-level oracles ------------------------------
+
+
+@pytest.fixture(scope="module")
+def oracle_pool(sym3, z8, dih8):
+    """1,500 random presentations, every right coset presentation of S3,
+    Z8 and D8, and canonical presentations of small tables."""
+    pool = [random_presentation(seed) for seed in range(1500)]
+    pool += [coset_presentation(g, s.mask)
+             for g in (sym3, z8, dih8) for s in subgroups(g)]
+    pool += [canonical_presentation(m) for m in
+             (s_family((3,)), s_family((1, 2)), as_hypergroup(cyclic_group(3)))]
+    return pool
+
+
+def test_adequacy_matches_trame_scan(oracle_pool):
+    adequate = 0
+    for p in oracle_pool:
+        rep = is_adequate(p)
+        want = trame_adequacy_scan(p)
+        assert (rep.reproductive, rep.associative,
+                rep.repro_witness, rep.assoc_witness) == want, (p.trame.op, p.r)
+        adequate += bool(rep)
+    assert len(oracle_pool) >= 1500 and 500 <= adequate <= len(oracle_pool) - 500
+
+
+def test_invariance_matches_rclass_loop(oracle_pool):
+    checks = invariant = 0
+    for seed, p in enumerate(oracle_pool):
+        rng = random.Random(seed)
+        t_n = p.trame.t_n
+        rels = [p.r, (0,) * t_n]
+        for _ in range(3):  # coarsenings of R
+            lift = [rng.randrange(p.k) for _ in range(p.k)]
+            rels.append(tuple(lift[lab] for lab in p.r))
+        for _ in range(2):  # arbitrary relations, mostly not coarser than R
+            rels.append(tuple(rng.randrange(t_n) for _ in range(t_n)))
+        for s in rels:
+            got = is_invariant_modulo_equiv(p.trame, p.r, s)
+            assert got == rclass_invariance(p.trame, p.r, s), (p.trame.op, p.r, s)
+            checks += 1
+            invariant += got
+    assert checks >= 10000 and 2000 <= invariant <= checks - 2000
+
+
+def test_invariance_above_64_classes_matches_rclass_loop():
+    g = cyclic_group(70)
+    t = group_trame(g)
+    r = tuple(range(70))
+    cases = {
+        tuple(x % 35 for x in range(70)): True,  # cosets of {0, 35}
+        tuple(x % 14 for x in range(70)): True,  # cosets of the order-5 subgroup
+        tuple(x // 2 for x in range(70)): False,  # pairs {2i, 2i+1}
+    }
+    for s, want in cases.items():
+        assert is_invariant_modulo_equiv(t, r, s) == want
+        assert rclass_invariance(t, r, s) == want
+
+
+def test_presentation_simplicity_matches_bell_sweep(oracle_pool):
+    compared = simple = 0
+    for p in oracle_pool:
+        if not 2 <= p.k <= 8 or not is_adequate(p):
+            continue
+        ps = presentation_simplicity(p)
+        assert (ps.simple, ps.invariant_count, ps.checked) == \
+            bell_sweep_simplicity(p), (p.trame.op, p.r)
+        compared += 1
+        simple += ps.simple
+    assert compared >= 200 and 10 <= simple <= compared - 10
