@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .core import (
     CapExceeded,
@@ -21,6 +21,7 @@ from .core import (
     Multistructure,
     NotAHypergroup,
     ParseError,
+    check_carrier_size,
     find_isomorphism,
     from_json,
     json_obj,
@@ -86,26 +87,44 @@ def _read_hypergroup(path: str, cap_n: int) -> Hypergroup:
     return Hypergroup.certify(m)
 
 
-def _parse_brace_list(token: str) -> list[str]:
+def _parse_brace_list(token: str, known: Container[str]) -> list[str]:
+    """Names in a brace list like {a,b} or {a b}.
+
+    Entries are separated by whitespace; an entry that is not a known
+    name is split on commas, so names that hold commas stay whole.
+    """
     token = token.strip()
     if not (token.startswith("{") and token.endswith("}")):
         raise ParseError(f"expected a brace list like {{a,b}}, got {token!r}")
     inner = token[1:-1].strip()
     if not inner:
         raise ParseError("empty brace list")
-    parts = [p.strip() for p in inner.replace(",", " ").split()]
-    if any(not p for p in parts):
-        raise ParseError(f"empty entry in brace list {token!r}")
+    parts = []
+    for entry in inner.split():
+        parts += [entry] if entry in known else [p for p in entry.split(",") if p]
     return parts
+
+
+def _split_blocks(literal: str) -> list[str]:
+    """Split a partition literal on the '|' characters outside braces."""
+    chunks, start, inside = [], 0, False
+    for i, ch in enumerate(literal):
+        if ch in "{}":
+            inside = ch == "{"
+        elif ch == "|" and not inside:
+            chunks.append(literal[start:i])
+            start = i + 1
+    chunks.append(literal[start:])
+    return chunks
 
 
 def _parse_partition(literal: str, names: Sequence[str]) -> EquivalenceRelation:
     """Blocks like {0}|{1,4,7}|{2,3,5,6} over element names."""
     index = {s: i for i, s in enumerate(names)}
     blocks = []
-    for chunk in literal.split("|"):
+    for chunk in _split_blocks(literal):
         block = []
-        for name in _parse_brace_list(chunk):
+        for name in _parse_brace_list(chunk, index):
             if name not in index:
                 raise ParseError(f"unknown element name {name!r} in partition")
             block.append(index[name])
@@ -121,10 +140,10 @@ def _load_group(arg: str, cap: int) -> GroupTable:
     if arg.startswith("sym:"):
         return symmetric_group(int(arg[4:]), cap)
     if arg.startswith("cyc:"):
-        m = cyclic_group(int(arg[4:]))
-        if m.n > cap:
-            raise CapExceeded(f"group order {m.n} exceeds cap {cap}")
-        return m
+        order = int(arg[4:])
+        if order > cap:
+            raise CapExceeded(f"group order {order} exceeds cap {cap}")
+        return cyclic_group(order)
     ms = _read_structure(arg)
     if any(e.bit_count() != 1 for row in ms.table for e in row):
         raise GroupError("range", "file structure is not univalent")
@@ -141,7 +160,7 @@ def _load_subgroup(g: GroupTable, arg: str) -> Subgroup:
         return stabilizer_subgroup(g, int(arg[5:]))
     index = {s: i for i, s in enumerate(g.names)}
     elems = []
-    for name in _parse_brace_list(arg):
+    for name in _parse_brace_list(arg, index):
         if name not in index:
             raise ParseError(f"unknown group element {name!r}")
         elems.append(index[name])
@@ -263,7 +282,9 @@ def _cmd_gen(args) -> int:
     if kind == "sym":
         m = as_hypergroup(symmetric_group(int(args.args[0]), args.cap_group))
     elif kind == "cyc":
-        m = as_hypergroup(cyclic_group(int(args.args[0])))
+        order = int(args.args[0])
+        check_carrier_size(order)
+        m = as_hypergroup(cyclic_group(order))
     elif kind == "stab":
         m = stabilizer_hypergroup(int(args.args[0]))
     elif kind == "coset":

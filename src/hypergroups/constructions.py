@@ -22,6 +22,7 @@ from .core import (
     Multistructure,
     EquivalenceRelation,
     as_multistructure,
+    check_carrier_size,
     members,
     product_of_sets,
 )
@@ -104,6 +105,7 @@ def s_family(sizes: Sequence[int]) -> Multistructure:
         raise ValueError("block sizes must be >= 1")
     n = sizes[0]
     total = sum(sizes)
+    check_carrier_size(total)
     names = ["e"] + [f"y{i}" for i in range(1, n)]
     for b, p in enumerate(sizes[1:], start=1):
         names += [f"a{b}_{j}" for j in range(1, p + 1)]

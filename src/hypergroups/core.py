@@ -22,6 +22,12 @@ class ParseError(ValueError):
     """Malformed textual input (structure JSON, trame DSL, partition literals)."""
 
 
+def check_carrier_size(n: int) -> None:
+    """Refuse a carrier wider than the mask width, before building it."""
+    if n > MAX_ELEMENTS:
+        raise CapExceeded(f"carrier size {n} exceeds mask width {MAX_ELEMENTS}")
+
+
 class NotAHypergroup(ValueError):
     """Raised when certifying a multistructure that fails an axiom."""
 
@@ -60,8 +66,7 @@ class Multistructure:
         n = len(self.names)
         if n < 1:
             raise ValueError("carrier must be non-empty")
-        if n > MAX_ELEMENTS:
-            raise CapExceeded(f"carrier size {n} exceeds mask width {MAX_ELEMENTS}")
+        check_carrier_size(n)
         if len(set(self.names)) != n or any(not s for s in self.names):
             raise ValueError("element names must be unique non-empty strings")
         if len(self.table) != n or any(len(row) != n for row in self.table):
@@ -128,6 +133,12 @@ def verify_axioms(m: Multistructure) -> AxiomReport:
     Each failed axiom reports the lexicographically first witness
     (triples (x,y,z) for associativity, x for reproductivity, pairs (x,y)
     for empty products), scanning in index order.
+
+    Associativity compares, for each pair (x, y), the row of (x.y).z with
+    the row of x.(y.z) over all z. Each set product is computed once per
+    distinct mask: the row L.z over z once per distinct product L = x.y,
+    and x.M once per distinct product M = y.z for the current x. Dense
+    tables have few distinct products and sparse ones have cheap ones.
     """
     n = m.n
     full = m.full_mask
@@ -135,16 +146,30 @@ def verify_axioms(m: Multistructure) -> AxiomReport:
 
     associative = True
     assoc_witness = None
+    left_rows: dict[int, list[int]] = {}  # L -> [L.z for z]
     for x in range(n):
+        tx = table[x]
+        right: dict[int, int] = {}  # M -> x.M
         for y in range(n):
-            left_base = table[x][y]
-            for z in range(n):
-                lhs = product_of_sets(m, left_base, 1 << z)
-                rhs = product_of_sets(m, 1 << x, table[y][z])
-                if lhs != rhs:
-                    associative, assoc_witness = False, (x, y, z)
-                    break
-            if not associative:
+            left = tx[y]
+            lrow = left_rows.get(left)
+            if lrow is None:
+                lrow = [0] * n
+                for l in members(left):
+                    lrow = [a | b for a, b in zip(lrow, table[l])]
+                left_rows[left] = lrow
+            rrow = []
+            for mid in table[y]:
+                r = right.get(mid)
+                if r is None:
+                    r = 0
+                    for v in members(mid):
+                        r |= tx[v]
+                    right[mid] = r
+                rrow.append(r)
+            if rrow != lrow:
+                z = next(z for z in range(n) if rrow[z] != lrow[z])
+                associative, assoc_witness = False, (x, y, z)
                 break
         if not associative:
             break

@@ -62,11 +62,14 @@ def verify_group(table: Sequence[Sequence[int]],
         for y in range(n):
             if not (0 <= table[x][y] < n):
                 raise GroupError("range", (x, y))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise GroupError("associativity", (x, y, z))
+    lists = [list(row) for row in table]
+    # row by row: (xy)z over all z against x(yz); z only on a mismatch
+    for x, tx in enumerate(lists):
+        for y, ty in enumerate(lists):
+            left = lists[tx[y]]
+            if left != [tx[v] for v in ty]:
+                z = next(z for z in range(n) if left[z] != tx[ty[z]])
+                raise GroupError("associativity", (x, y, z))
     identity = None
     for e in range(n):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):

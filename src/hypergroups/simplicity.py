@@ -81,6 +81,15 @@ class ReflectorCongruence:
         if not is_reflector_congruence(self.over, self.eq):
             raise ValueError("equivalence fails the saturation identity")
 
+    @classmethod
+    def _proved(cls, over: Hypergroup, eq: EquivalenceRelation) -> "ReflectorCongruence":
+        """A congruence whose identity the caller has already established;
+        skips the recheck in __post_init__."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "over", over)
+        object.__setattr__(c, "eq", eq)
+        return c
+
 
 def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
     """The reflet: classes, with [x].[y] = classes meeting x.y.
@@ -190,7 +199,7 @@ def reflector_congruences(h: Hypergroup,
     def rec(i: int, top: int) -> bool:
         if i == n:
             eq = EquivalenceRelation(tuple(labels))
-            out.append(ReflectorCongruence(h, eq))
+            out.append(ReflectorCongruence._proved(h, eq))
             return limit is not None and len(out) >= limit
         for lab in range(top + 1):
             labels[i] = lab

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 from hypergroups.core import (
+    AxiomReport,
     EquivalenceRelation,
     Hypergroup,
     Multistructure,
@@ -38,6 +39,29 @@ def set_product(tbl, xs, ys):
         for y in ys:
             out |= tbl[x][y]
     return frozenset(out)
+
+
+def naive_axiom_report(m, triples=None):
+    """verify_axioms by plain set arithmetic, one triple at a time.
+
+    triples, when given, are the only associativity triples that can fail,
+    in index order (the caller knows the rest hold); by default every
+    triple is checked.
+    """
+    n = m.n
+    tbl = table_sets(m)
+    carrier = frozenset(range(n))
+    if triples is None:
+        triples = itertools.product(range(n), repeat=3)
+    assoc = next((
+        (x, y, z) for x, y, z in triples
+        if set_product(tbl, tbl[x][y], [z]) != set_product(tbl, [x], tbl[y][z])), None)
+    repro = next((
+        x for x in range(n)
+        if set_product(tbl, [x], carrier) != carrier
+        or set_product(tbl, carrier, [x]) != carrier), None)
+    empty = next(((x, y) for x in range(n) for y in range(n) if not tbl[x][y]), None)
+    return AxiomReport(assoc is None, repro is None, empty is None, assoc, repro, empty)
 
 
 def saturate(blocks, xs):

@@ -7,7 +7,7 @@ import pytest
 
 from hypergroups.cli import format_trame, parse_trame
 from hypergroups.constructions import canonical_presentation, s_family
-from hypergroups.groups import cyclic_group, symmetric_group
+from hypergroups.groups import as_hypergroup, cyclic_group, symmetric_group
 from hypergroups.presentations import Trame, coset_relation, group_trame
 
 STAB3 = ('{"elements":["e","y1","y2"],"table":[[["e"],["y1","y2"],["y1","y2"]],'
@@ -294,6 +294,52 @@ def test_trame_invariant_above_64_classes(tmp_path):
     pairs = "|".join(f"{{{2 * i},{2 * i + 1}}}" for i in range(50))
     r = run_cli("trame", "invariant", str(path), "--s", pairs)
     assert r.returncode == 1 and r.stdout == '{"invariant":false}\n', r.stderr
+
+
+def test_trame_invariant_names_with_commas(tmp_path):
+    # the canonical presentation of C2 names its elements v|a,b,c: blocks
+    # split only on a '|' outside braces, names inside on whitespace
+    p = canonical_presentation(as_hypergroup(cyclic_group(2)))
+    path = tmp_path / "c2canon.trame"
+    path.write_text(format_trame(p.trame, p.r))
+    names = p.trame.names
+    assert names[0] == "0|0,0,0" and names[8] == "1|0,0,0"
+    cases = [
+        ("{" + " ".join(names[:8]) + "}|{" + " ".join(names[8:]) + "}", 0),
+        ("{" + " ".join(names) + "}", 0),
+        ("{" + " ".join(names[:4] + names[8:12]) + "}|{"
+         + " ".join(names[4:8] + names[12:]) + "}", 1),  # R does not refine S
+    ]
+    for literal, code in cases:
+        r = run_cli("trame", "invariant", str(path), "--s", literal)
+        assert r.returncode == code, (literal, r.stderr)
+        assert r.stdout == ('{"invariant":true}\n' if code == 0 else '{"invariant":false}\n')
+    r = run_cli("trame", "invariant", str(path), "--s", "{0|0,0,0}|{1|0,0,0}")
+    assert r.returncode == 2 and "missing from blocks" in r.stderr
+
+
+def test_caps_refuse_before_building(monkeypatch, capsys):
+    import hypergroups.cli as cli
+    import hypergroups.constructions as constructions
+
+    def build(*args):
+        raise AssertionError("built before the cap refused")
+
+    monkeypatch.setattr(cli, "cyclic_group", build)
+    monkeypatch.setattr(constructions, "Multistructure", build)
+    cases = [
+        (["gen", "cyc", "130"], "carrier size 130 exceeds mask width 64"),
+        (["simple-coset", "cyc:130", "{0}"], "group order 130 exceeds cap 120"),
+        (["gen", "coset", "cyc:60", "{0}", "--cap-group", "50"],
+         "group order 60 exceeds cap 50"),
+        (["gen", "s-family", "40", "30"], "carrier size 70 exceeds mask width 64"),
+        (["gen", "stab", "65"], "carrier size 65 exceeds mask width 64"),
+        (["classify-s", "3", "62"], "carrier size 65 exceeds mask width 64"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
 
 def test_trame_parse_errors(tmp_path):

@@ -1,7 +1,9 @@
+import itertools
 import json
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hypergroups.core import (
     CapExceeded,
@@ -29,7 +31,9 @@ from hypergroups.core import (
     verify_axioms,
 )
 
-from conftest import set_product, table_sets
+from hypergroups.constructions import SFamilyClass, s_family, s_family_class
+
+from conftest import naive_axiom_report, set_product, table_sets
 
 
 def cyclic_ms(n):
@@ -81,6 +85,79 @@ def test_assoc_witness_lex_first():
     rep = verify_axioms(m)
     assert not rep.associative
     assert rep.assoc_witness == (1, 1, 2)
+
+
+def relabel(m, perm):
+    """The copy of m with element i renamed perm[i]."""
+    n = m.n
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[perm[x]][perm[y]] = mask_of(perm[v] for v in members(m.table[x][y]))
+    names = [""] * n
+    for i in range(n):
+        names[perm[i]] = m.names[i]
+    return Multistructure(tuple(names), tuple(map(tuple, rows)))
+
+
+# small associative tables, relabelled and perturbed below to put
+# associativity witnesses anywhere in the scan
+NEAR_HYPERGROUPS = [cyclic_ms(k) for k in range(1, 8)] + [
+    s_family(sizes) for sizes in ((3,), (5,), (1, 1), (2, 2), (3, 3), (3, 4), (2, 2, 2))
+] + [Multistructure(tuple("abcdef"[:k]), tuple(((1 << k) - 1,) * k for _ in range(k)))
+      for k in (1, 4, 6)]  # total hypergroups
+
+
+@st.composite
+def small_tables(draw):
+    """Tables on 1-7 elements: uniform random, or a relabelled associative
+    table with up to two bits flipped."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        rows = tuple(tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
+                     for _ in range(n))
+        return Multistructure(tuple(f"x{i}" for i in range(n)), rows)
+    base = draw(st.sampled_from(NEAR_HYPERGROUPS))
+    m = relabel(base, draw(st.permutations(range(base.n))))
+    rows = [list(r) for r in m.table]
+    for _ in range(draw(st.integers(0, 2))):
+        x, y, v = (draw(st.integers(0, m.n - 1)) for _ in range(3))
+        rows[x][y] ^= 1 << v
+    return Multistructure(m.names, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=400)
+@given(small_tables())
+def test_verify_axioms_matches_set_oracle(m):
+    assert verify_axioms(m) == naive_axiom_report(m)
+
+
+@pytest.mark.parametrize("sizes,seed", [
+    ((6, 6, 6, 6), 0), ((3, 5, 8, 8), 1), ((4, 5, 6, 7, 8), 2),
+    ((3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3), 3), ((8, 8, 8, 8, 8), 4)])
+def test_verify_axioms_late_witness_on_permuted_s_family(sizes, seed):
+    # one element removed from the product a.b, with a and b in the last
+    # quarter of the carrier. The unflipped table is associative, so a
+    # triple can fail only where its evaluation reads the entry (a, b):
+    # x = a, z = b, (x, y) = (a, b) or (y, z) = (a, b); the oracle scans
+    # just those, in index order.
+    rng = random.Random(seed)
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    base = relabel(s_family(sizes), perm)
+    assert s_family_class(sizes) in (SFamilyClass.DHypergroup, SFamilyClass.HypergroupNotD)
+    a, b = rng.randrange(n - n // 4, n), rng.randrange(n - n // 4, n)
+    rows = [list(r) for r in base.table]
+    rows[a][b] ^= 1 << rng.choice(members(rows[a][b]))
+    m = Multistructure(base.names, tuple(map(tuple, rows)))
+    reads_ab = [(x, y, z) for x, y, z in itertools.product(range(n), repeat=3)
+                if x == a or z == b or (x, y) == (a, b) or (y, z) == (a, b)]
+    rep = verify_axioms(m)
+    assert rep == naive_axiom_report(m, reads_ab)
+    assert not rep.associative
+    x, _, z = rep.assoc_witness
+    assert x >= n // 2 and z >= n // 2
 
 
 def test_empty_and_repro_witnesses():

@@ -1,6 +1,7 @@
 """Group verification, subgroup enumeration, and coset arithmetic."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +58,27 @@ def test_verify_group_assoc_witness_matches_exhaustive_scan():
         for x, y, z in itertools.product(range(3), repeat=3)
         if table[table[x][y]][z] != table[x][table[y][z]])
     assert e.value.witness == first == (1, 1, 2)
+
+
+@pytest.mark.parametrize("group", ["c12", "s4"])
+def test_verify_group_witness_on_corrupted_tables(group):
+    # one entry changed per table, late in the scan as well as early;
+    # the witness must be the first bad triple of the exhaustive scan
+    g = cyclic_group(12) if group == "c12" else symmetric_group(4)
+    n = g.n
+    rng = random.Random(n)
+    spots = [(n - 1, n - 1), (n - 1, n - 2), (n - 2, n - 1), (n // 2, n - 1), (1, 0)]
+    spots += [(rng.randrange(n), rng.randrange(n)) for _ in range(6)]
+    for x, y in spots:
+        table = [list(row) for row in g.table]
+        table[x][y] = (table[x][y] + rng.randrange(1, n)) % n
+        first = next(
+            (a, b, c)
+            for a, b, c in itertools.product(range(n), repeat=3)
+            if table[table[a][b]][c] != table[a][table[b][c]])
+        with pytest.raises(GroupError) as e:
+            verify_group(table)
+        assert (e.value.kind, e.value.witness) == ("associativity", first), (x, y)
 
 
 def test_verify_group_identity_and_inverse_failures():
