@@ -40,6 +40,7 @@ from .groups import (
     cyclic_group,
     stabilizer_subgroup,
     symmetric_group,
+    symmetric_group_order,
     verify_group,
 )
 from .constructions import (
@@ -63,10 +64,9 @@ from .presentations import (
 )
 from .simplicity import (
     DEFAULT_SIMPLICITY_CAP,
-    bell_number,
     invariant_modulo_subgroups,
-    reflector_congruences,
     reflets,
+    simplicity_report,
 )
 
 
@@ -147,11 +147,9 @@ def _load_group(arg: str, cap: int) -> GroupTable:
     ms = _read_structure(arg)
     if any(e.bit_count() != 1 for row in ms.table for e in row):
         raise GroupError("range", "file structure is not univalent")
-    table = [[e.bit_length() - 1 for e in row] for row in ms.table]
-    g = verify_group(table, ms.names)
-    if g.n > cap:
-        raise CapExceeded(f"group order {g.n} exceeds cap {cap}")
-    return g
+    if ms.n > cap:
+        raise CapExceeded(f"group order {ms.n} exceeds cap {cap}")
+    return verify_group([[e.bit_length() - 1 for e in row] for row in ms.table], ms.names)
 
 
 def _load_subgroup(g: GroupTable, arg: str) -> Subgroup:
@@ -259,7 +257,7 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
 def format_trame(t: Trame, r: Sequence[int]) -> str:
     """Canonical text form; parse_trame inverts it exactly."""
     lines = ["elements: " + " ".join(t.names)]
-    for u, v, w in t.pairs():
+    for (u, v), w in sorted(t.op.items()):
         lines.append(f"compose: {t.names[u]} {t.names[v]} -> {t.names[w]}")
     k = max(r) + 1
     blocks = [[] for _ in range(k)]
@@ -280,7 +278,9 @@ def _read_trame(path: str) -> tuple[Trame, tuple[int, ...]]:
 def _cmd_gen(args) -> int:
     kind = args.kind
     if kind == "sym":
-        m = as_hypergroup(symmetric_group(int(args.args[0]), args.cap_group))
+        degree = int(args.args[0])
+        check_carrier_size(symmetric_group_order(degree, args.cap_group))
+        m = as_hypergroup(symmetric_group(degree, args.cap_group))
     elif kind == "cyc":
         order = int(args.args[0])
         check_carrier_size(order)
@@ -329,21 +329,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simple(args) -> int:
     h = _read_hypergroup(args.file, args.cap_n)
-    congruences = reflector_congruences(h, args.cap_n)
-    simple = h.n > 1 and len(congruences) == 2
-    witness = None
-    for c in congruences:
-        if 1 < c.eq.k < h.n:
-            witness = [[h.names[i] for i in members(cm)] for cm in c.eq.class_masks]
-            break
+    rep = simplicity_report(h, args.cap_n)
     _emit({
-        "simple": simple,
+        "simple": rep.simple,
         "n": h.n,
-        "partition_space": bell_number(h.n),
-        "congruences": len(congruences),
-        "witness": witness,
+        "partition_space": rep.checked,
+        "congruences": rep.invariant_count,
+        "witness": ([[h.names[i] for i in block] for block in rep.witness.blocks()]
+                    if rep.witness is not None else None),
     })
-    return 0 if simple else 1
+    return 0 if rep else 1
 
 
 def _cmd_simple_coset(args) -> int:

@@ -23,43 +23,35 @@ from .core import (
     EquivalenceRelation,
     as_multistructure,
     check_carrier_size,
+    is_group,
     members,
     product_of_sets,
+    verify_axioms,
 )
 from .groups import (
     DEFAULT_GROUP_CAP,
     GroupTable,
     Subgroup,
-    coset_mask,
     from_permutations,
+    stabilizer_subgroup,
 )
-from .presentations import DEFAULT_TRAME_CAP, Presentation, Trame, coset_relation
+from .presentations import (
+    DEFAULT_TRAME_CAP,
+    Presentation,
+    Trame,
+    coset_relation,
+    quotient_table,
+)
 
 
 def _coset_structure(g: GroupTable, hmask: int, side: str) -> Hypergroup:
-    # discover cosets by scanning representatives in index order
+    # the group's multiplication read on cosets: each coset is named after
+    # its least member, and the products of whole cosets are all x.y
     labels = coset_relation(g, hmask, side)
-    k = max(labels) + 1
-    reps = [labels.index(c) for c in range(k)]
-    if side == "right":
-        names = tuple(g.names[reps[c]] + "H" for c in range(k))
-    else:
-        names = tuple("H" + g.names[reps[c]] for c in range(k))
-    table = [[0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            # products of whole cosets, re-read as cosets
-            am = coset_mask(g, hmask, reps[a], side)
-            bm = coset_mask(g, hmask, reps[b], side)
-            prod = 0
-            for x in members(am):
-                for y in members(bm):
-                    prod |= 1 << g.table[x][y]
-            mask = 0
-            for z in members(prod):
-                mask |= 1 << labels[z]
-            table[a][b] = mask
-    return Hypergroup.certify(Multistructure(names, tuple(tuple(r) for r in table)))
+    form = "{}H" if side == "right" else "H{}"
+    names = tuple(form.format(g.names[labels.index(c)]) for c in range(max(labels) + 1))
+    products = (((x, y), w) for x, row in enumerate(g.table) for y, w in enumerate(row))
+    return Hypergroup.certify(Multistructure(names, quotient_table(products, labels)))
 
 
 def right_coset_hypergroup(g: GroupTable, h: Subgroup) -> Hypergroup:
@@ -109,9 +101,6 @@ def s_family(sizes: Sequence[int]) -> Multistructure:
     names = ["e"] + [f"y{i}" for i in range(1, n)]
     for b, p in enumerate(sizes[1:], start=1):
         names += [f"a{b}_{j}" for j in range(1, p + 1)]
-    starts = [0]
-    for p in sizes:
-        starts.append(starts[-1] + p)
     block_of = []
     for b, p in enumerate(sizes):
         block_of += [b] * p
@@ -189,7 +178,6 @@ def s_family_group_realization(sizes: Sequence[int],
                     p[src_block * n + i] = dst_block * n + w[i]
             perms.append(tuple(p))
     g = from_permutations(perms)
-    from .groups import stabilizer_subgroup
     return g, stabilizer_subgroup(g, 0)
 
 
@@ -281,7 +269,6 @@ def utumi_simplicity_criterion(data: UtumiInput) -> bool:
     equal to the whole carrier. Sufficient only: a derived structure can
     be simple without passing this test.
     """
-    from .core import is_group, verify_axioms
     m = as_multistructure(data.base)
     if not is_group(m):
         raise ValueError("criterion applies to a univalent base only")

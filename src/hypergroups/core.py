@@ -85,12 +85,6 @@ class Multistructure:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @classmethod
-    def from_sets(cls, names: Sequence[str],
-                  table: Sequence[Sequence[Iterable[int]]]) -> "Multistructure":
-        rows = tuple(tuple(mask_of(e) for e in row) for row in table)
-        return cls(tuple(names), rows)
-
 
 def product_of_sets(m: Multistructure, xmask: int, ymask: int) -> int:
     """Set extension of the operation: union of x.y over x in X, y in Y."""

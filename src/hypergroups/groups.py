@@ -8,10 +8,11 @@ the parent's carrier. Everything here feeds the coset constructions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import CapExceeded, Multistructure, mask_of, members
+from .core import CapExceeded, Hypergroup, Multistructure, mask_of, members
 
 DEFAULT_GROUP_CAP = 120
 
@@ -130,13 +131,18 @@ def from_permutations(perms: Sequence[Sequence[int]]) -> GroupTable:
     return g
 
 
-def symmetric_group(m: int, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
-    import math
+def symmetric_group_order(m: int, cap: int = DEFAULT_GROUP_CAP) -> int:
+    """m!, once the degree is valid and the order within cap."""
     if m < 1:
         raise ValueError("degree must be >= 1")
     order = math.factorial(m)
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds cap {cap}")
+    return order
+
+
+def symmetric_group(m: int, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
+    symmetric_group_order(m, cap)
     return from_permutations(list(itertools.permutations(range(m))))
 
 
@@ -171,7 +177,6 @@ def dihedral_group(m: int) -> GroupTable:
 
 def as_hypergroup(g: GroupTable):
     """The group as a univalent hypergroup on the same carrier."""
-    from .core import Hypergroup
     rows = tuple(tuple(1 << g.table[x][y] for y in range(g.n)) for x in range(g.n))
     return Hypergroup.certify(Multistructure(g.names, rows))
 

@@ -14,21 +14,22 @@ the quotient's table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import (
-    CapExceeded,
     Hypergroup,
     Multistructure,
+    check_carrier_size,
     members,
     restricted_growth,
     verify_axioms,
 )
+from .groups import coset_mask
 from .simplicity import (
     DEFAULT_SIMPLICITY_CAP,
-    bell_number,
-    reflector_congruences,
+    SimplicityReport,
     saturation_identity,
+    simplicity_report,
 )
 
 DEFAULT_TRAME_CAP = 65536
@@ -61,11 +62,6 @@ class Trame:
     def t_n(self) -> int:
         return len(self.names)
 
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        """(u, v, u.v) triples in sorted pair order."""
-        for (u, v) in sorted(self.op):
-            yield u, v, self.op[u, v]
-
 
 @dataclass(frozen=True, eq=False)
 class Presentation:
@@ -85,12 +81,6 @@ class Presentation:
     def k(self) -> int:
         return self._k
 
-    def class_members(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for i, lab in enumerate(self.r):
-            out[lab].append(i)
-        return out
-
     def class_names(self) -> tuple[str, ...]:
         """Each class named after its least member."""
         out: list[str] = []
@@ -102,16 +92,11 @@ class Presentation:
 
 def group_trame(g) -> Trame:
     """A group's full multiplication as a (total) trame."""
-    op = {}
-    for x in range(g.n):
-        for y in range(g.n):
-            op[x, y] = g.table[x][y]
-    return Trame(g.names, op)
+    return Trame(g.names, {(x, y): w for x, row in enumerate(g.table) for y, w in enumerate(row)})
 
 
 def coset_relation(g, hmask: int, side: str) -> tuple[int, ...]:
     """Labels of the coset partition, numbered in least-element order."""
-    from .groups import coset_mask
     labels = [-1] * g.n
     for x in range(g.n):
         if labels[x] == -1:  # x is the least member of its coset
@@ -120,15 +105,22 @@ def coset_relation(g, hmask: int, side: str) -> tuple[int, ...]:
     return restricted_growth(labels)
 
 
+def quotient_table(products: Iterable[tuple[tuple[int, int], int]],
+                   labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The table on classes: the class of w lies in [u].[v] for every
+    product ((u, v), w). Refuses more than 64 classes before building.
+    """
+    k = max(labels) + 1
+    check_carrier_size(k)
+    table = [[0] * k for _ in range(k)]
+    for (u, v), w in products:
+        table[labels[u]][labels[v]] |= 1 << labels[w]
+    return tuple(tuple(row) for row in table)
+
+
 def quotient(p: Presentation) -> Multistructure:
     """The multivalued table induced on R-classes by composable products."""
-    t, r, k = p.trame, p.r, p.k
-    if k > 64:
-        raise CapExceeded(f"quotient carrier {k} exceeds mask width 64")
-    table = [[0] * k for _ in range(k)]
-    for u, v, w in t.pairs():
-        table[r[u]][r[v]] |= 1 << r[w]
-    return Multistructure(p.class_names(), tuple(tuple(row) for row in table))
+    return Multistructure(p.class_names(), quotient_table(p.trame.op.items(), p.r))
 
 
 @dataclass(frozen=True)
@@ -224,28 +216,15 @@ def reflect(p: Presentation, s: tuple[int, ...]) -> Hypergroup:
     return Hypergroup.certify(quotient(Presentation(p.trame, s)))
 
 
-@dataclass(frozen=True)
-class PresentationSimplicity:
-    simple: bool
-    invariant_count: int
-    checked: int
-
-    def __bool__(self) -> bool:
-        return self.simple
-
-
 def presentation_simplicity(p: Presentation,
-                            cap: int = DEFAULT_SIMPLICITY_CAP) -> PresentationSimplicity:
+                            cap: int = DEFAULT_SIMPLICITY_CAP) -> SimplicityReport:
     """Decide simplicity of the quotient by counting invariant coarsenings.
 
     The invariant coarsenings are the reflector congruences of the
-    certified quotient, found by the pruned search over the Bell(k)
-    partitions of the k classes (reported as checked). The quotient is
-    simple when exactly the discrete and total coarsenings qualify.
-    Raises NotAHypergroup (a ValueError) when p is not adequate.
+    certified quotient (see simplicity_report). Raises NotAHypergroup (a
+    ValueError) when p is not adequate.
     """
     h = Hypergroup.certify(quotient(p))
     if p.k == 1:
         raise ValueError("quotient is trivial, simplicity is undefined for it")
-    invariant = len(reflector_congruences(h, cap))
-    return PresentationSimplicity(invariant == 2, invariant, bell_number(p.k))
+    return simplicity_report(h, cap)

@@ -12,7 +12,7 @@ subgroup-side decider for coset structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     CapExceeded,
@@ -235,10 +235,7 @@ def is_simple(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP) -> bool:
     has one reflet, not two, so it is not simple. The search stops at
     the third congruence found.
     """
-    if h.n == 1:
-        return False
-    found = reflector_congruences(h, cap, limit=3)
-    return len(found) == 2
+    return len(reflector_congruences(h, cap, limit=3)) == 2
 
 
 def bell_number(n: int) -> int:
@@ -250,6 +247,31 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[0]
+
+
+@dataclass(frozen=True)
+class SimplicityReport:
+    simple: bool
+    invariant_count: int  # reflector congruences found
+    checked: int  # Bell(n): the partitions the pruned search decides over
+    witness: Optional[EquivalenceRelation] = None  # first proper congruence
+
+    def __bool__(self) -> bool:
+        return self.simple
+
+
+def simplicity_report(h: Hypergroup,
+                      cap: int = DEFAULT_SIMPLICITY_CAP) -> SimplicityReport:
+    """is_simple's verdict from the full list of reflector congruences.
+
+    Simple when exactly the identity and the total relation qualify; the
+    witness is the first congruence strictly between them in
+    restricted-growth order. Unlike is_simple the search runs to the end,
+    so the count is exact.
+    """
+    found = reflector_congruences(h, cap)
+    witness = next((c.eq for c in found if 1 < c.eq.k < h.n), None)
+    return SimplicityReport(len(found) == 2, len(found), bell_number(h.n), witness)
 
 
 def invariant_modulo_subgroups(g: GroupTable, h: Subgroup,

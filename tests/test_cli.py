@@ -7,6 +7,7 @@ import pytest
 
 from hypergroups.cli import format_trame, parse_trame
 from hypergroups.constructions import canonical_presentation, s_family
+from hypergroups.core import to_json
 from hypergroups.groups import as_hypergroup, cyclic_group, symmetric_group
 from hypergroups.presentations import Trame, coset_relation, group_trame
 
@@ -340,6 +341,45 @@ def test_caps_refuse_before_building(monkeypatch, capsys):
         assert cli.main(argv) == 3, argv
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
+
+
+def test_gen_refuses_before_building(monkeypatch, capsys, tmp_path):
+    import hypergroups.cli as cli
+    import hypergroups.constructions as constructions
+    import hypergroups.groups as groups
+
+    def build(*args):
+        raise AssertionError("built before the cap refused")
+
+    monkeypatch.setattr(groups, "from_permutations", build)
+    monkeypatch.setattr(cli, "verify_group", build)
+    monkeypatch.setattr(constructions, "Multistructure", build)
+    c8 = tmp_path / "c8.json"
+    c8.write_text(to_json(as_hypergroup(cyclic_group(8))))
+    cases = [
+        (["gen", "sym", "0"], 2, "degree must be >= 1"),
+        (["gen", "sym", "6"], 3, "group order 720 exceeds cap 120"),
+        (["gen", "sym", "5"], 3, "carrier size 120 exceeds mask width 64"),
+        (["gen", "sym", "6", "--cap-group", "720"], 3,
+         "carrier size 720 exceeds mask width 64"),
+        (["gen", "coset", str(c8), "{0}", "--cap-group", "4"], 3,
+         "group order 8 exceeds cap 4"),
+        (["simple-coset", str(c8), "{0}", "--cap-group", "7"], 3,
+         "group order 8 exceeds cap 7"),
+        (["gen", "coset", "cyc:100", "{0}"], 3, "carrier size 100 exceeds mask width 64"),
+    ]
+    for argv, code, message in cases:
+        assert cli.main(argv) == code, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n", argv
+
+
+def test_trame_quotient_refuses_above_64_classes(tmp_path):
+    path = tmp_path / "c65.trame"
+    path.write_text(format_trame(group_trame(cyclic_group(65)), tuple(range(65))))
+    r = run_cli("trame", "quotient", str(path))
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == "error: carrier size 65 exceeds mask width 64\n"
 
 
 def test_trame_parse_errors(tmp_path):

@@ -65,6 +65,41 @@ def test_sym3_stab_coset_table_frozen(sym3):
                        (0b100, 0b011, 0b011))
 
 
+def coset_space_oracle(g, hmask, side):
+    """Names and table of the coset space by frozenset coset products."""
+    h = [x for x in range(g.n) if hmask >> x & 1]
+    cosets, names = [], []
+    for x in range(g.n):
+        if side == "right":
+            c, name = frozenset(g.table[x][y] for y in h), g.names[x] + "H"
+        else:
+            c, name = frozenset(g.table[y][x] for y in h), "H" + g.names[x]
+        if c not in cosets:  # scanned in index order: x is its least member
+            cosets.append(c)
+            names.append(name)
+    table = []
+    for a in cosets:
+        row = []
+        for b in cosets:
+            prod = {g.table[x][y] for x in a for y in b}
+            row.append(frozenset(i for i, c in enumerate(cosets) if c & prod))
+        table.append(row)
+    return tuple(names), table
+
+
+def test_coset_space_matches_set_oracle(sym3, sym4, dih8, dih12, z8, klein):
+    compared = 0
+    for g in (sym3, sym4, dih8, dih12, z8, klein):
+        for s in subgroups(g):
+            for side, build in (("right", right_coset_hypergroup),
+                                ("left", left_coset_hypergroup)):
+                h = build(g, s)
+                assert (h.names, table_sets(h.m)) == \
+                    coset_space_oracle(g, s.mask, side), (g.names, s.mask, side)
+                compared += 1
+    assert compared == 2 * (6 + 30 + 10 + 16 + 4 + 5)
+
+
 def test_normal_subgroup_gives_quotient_group(sym3):
     h = right_coset_hypergroup(sym3, Subgroup(sym3, 0b011001))
     assert is_group(h)

@@ -42,6 +42,7 @@ from hypergroups.simplicity import (
     quotient_by,
     reflector_congruences,
     reflets,
+    simplicity_report,
 )
 
 from conftest import (
@@ -196,6 +197,24 @@ def test_is_simple_matches_naive_count(small_hypergroup_corpus, utumi_z8):
     for h in small_hypergroup_corpus + [utumi_z8]:
         naive = naive_reflector_partitions(h.m)
         assert is_simple(h) == (h.n > 1 and len(naive) == 2)
+
+
+def test_simplicity_report_matches_naive_sweep(small_hypergroup_corpus, z8h, utumi_z8):
+    witnesses = 0
+    for h in small_hypergroup_corpus + [z8h, utumi_z8]:
+        naive = naive_reflector_partitions(h.m)  # restricted-growth order
+        proper = [p for p in naive if 1 < len(p) < h.n]
+        rep = simplicity_report(h)
+        assert (rep.simple, bool(rep)) == (len(naive) == 2,) * 2
+        assert (rep.invariant_count, rep.checked) == (len(naive), bell_number(h.n))
+        if proper:
+            assert blocks_of(rep.witness) == proper[0]
+            witnesses += 1
+        else:
+            assert rep.witness is None
+    assert witnesses == 3  # C4, the Klein group and C8
+    with pytest.raises(CapExceeded):
+        simplicity_report(z8h, cap=7)
 
 
 def test_bell_numbers():

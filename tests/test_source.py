@@ -6,12 +6,28 @@ import pathlib
 import hypergroups
 
 
+def library_trees():
+    for path in sorted(pathlib.Path(hypergroups.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_no_assert_statements_in_library():
     # cross-checks live in the tests: python -O strips asserts, and
     # otherwise every call pays for them
     found = []
-    for path in sorted(pathlib.Path(hypergroups.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+    for name, tree in library_trees():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_function_local_imports():
+    # the modules import each other without a cycle, so every import
+    # sits at the top of its module
+    found = set()
+    for name, tree in library_trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(found) == []
