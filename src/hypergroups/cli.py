@@ -64,7 +64,7 @@ from .presentations import (
 )
 from .simplicity import (
     DEFAULT_SIMPLICITY_CAP,
-    invariant_modulo_subgroups,
+    coset_simplicity_report,
     reflets,
     simplicity_report,
 )
@@ -275,8 +275,14 @@ def _read_trame(path: str) -> tuple[Trame, tuple[int, ...]]:
 # --- verb handlers -----------------------------------------------------------
 
 
+# the gen kinds and their positional argument counts; None: one or more
+_GEN_ARITY = {"sym": 1, "cyc": 1, "coset": 2, "stab": 1, "s-family": None, "utumi": 3, "canon": 1}
+
+
 def _cmd_gen(args) -> int:
-    kind = args.kind
+    kind, arity, given = args.kind, _GEN_ARITY[args.kind], len(args.args)
+    if arity is not None and given != arity:
+        raise ParseError(f"gen {kind} takes {arity} argument{'s' * (arity > 1)}, got {given}")
     if kind == "sym":
         degree = int(args.args[0])
         check_carrier_size(symmetric_group_order(degree, args.cap_group))
@@ -302,11 +308,8 @@ def _cmd_gen(args) -> int:
         if zname not in g.names:
             raise ParseError(f"unknown zero element {zname!r}")
         m = utumi(UtumiInput(base, part, g.names.index(zname)))
-    elif kind == "canon":
-        ms = _read_structure(args.args[0])
-        m = quotient(canonical_presentation(ms, args.cap_trame))
-    else:
-        raise ParseError(f"unknown generator {kind!r}")
+    else:  # canon
+        m = quotient(canonical_presentation(_read_structure(args.args[0]), args.cap_trame))
     _emit(json_obj(m))
     return 0
 
@@ -343,21 +346,14 @@ def _cmd_simple(args) -> int:
 
 def _cmd_simple_coset(args) -> int:
     g = _load_group(args.group, args.cap_group)
-    h = _load_subgroup(g, args.subgroup)
-    inv = invariant_modulo_subgroups(g, h, args.cap_group)
-    # h and the whole group always qualify; h = G leaves one subgroup
-    simple = len(inv) == 2
-    witness = None
-    for k in inv:
-        if k.mask not in (h.mask, g.full_mask):
-            witness = [g.names[i] for i in members(k.mask)]
-            break
+    rep = coset_simplicity_report(g, _load_subgroup(g, args.subgroup), args.cap_group)
     _emit({
-        "simple": simple,
-        "subgroups_invariant": len(inv),
-        "witness": witness,
+        "simple": rep.simple,
+        "subgroups_invariant": rep.invariant_count,
+        "witness": ([g.names[i] for i in members(rep.witness.mask)]
+                    if rep.witness is not None else None),
     })
-    return 0 if simple else 1
+    return 0 if rep else 1
 
 
 def _cmd_reflets(args) -> int:
@@ -388,12 +384,9 @@ def _cmd_classify_s(args) -> int:
     cls = s_family_class(sizes)
     m = s_family(sizes)
     rep = verify_axioms(m)
-    witness = None
-    if rep.empty_witness is not None:
-        witness = [m.names[i] for i in rep.empty_witness]
-    elif rep.assoc_witness is not None:
-        witness = [m.names[i] for i in rep.assoc_witness]
-    _emit({"class": cls.name, "sizes": sizes, "witness": witness})
+    witness = rep.empty_witness or rep.assoc_witness
+    _emit({"class": cls.name, "sizes": sizes,
+           "witness": [m.names[i] for i in witness] if witness else None})
     return 0
 
 
@@ -441,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     g = sub.add_parser("gen", parents=[caps], help="emit a structure as JSON")
-    g.add_argument("kind", choices=["sym", "cyc", "coset", "stab",
-                                    "s-family", "utumi", "canon"])
+    g.add_argument("kind", choices=list(_GEN_ARITY))
     g.add_argument("args", nargs="+")
     g.add_argument("--side", choices=["right", "left"], default="right")
     g.set_defaults(fn=_cmd_gen)

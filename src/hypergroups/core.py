@@ -301,24 +301,44 @@ def is_morphism(f: Mapping) -> bool:
     return True
 
 
+def saturation_identity(rows: Iterable[Sequence[int]], cols: Iterable[Sequence[int]],
+                        class_of: Sequence[int]) -> bool:
+    """sat(x.y) = x.[y] = [x].y at every pair, for a table given by its rows
+    and its columns as masks over the carrier that class_of labels.
+
+    sat closes a subset under the classes. Rows check sat(x.y) against
+    the row union over the class of y, columns against the column union
+    over the class of x. Masks are plain ints, so the carrier may exceed
+    64 elements.
+    """
+    masks = [0] * (max(class_of) + 1)
+    for i, lab in enumerate(class_of):
+        masks[lab] |= 1 << i
+    sat = {0: 0}
+    for lines in (rows, cols):
+        for line in lines:
+            union = [0] * len(masks)
+            for y, e in enumerate(line):
+                union[class_of[y]] |= e
+            for y, e in enumerate(line):
+                if e not in sat:  # the classes are disjoint: sum is union
+                    sat[e] = sum(cm for cm in masks if cm & e)
+                if union[class_of[y]] != sat[e]:
+                    return False
+    return True
+
+
 def is_reflector(f: Mapping) -> bool:
     """Surjective f whose four pulled-back product sets coincide.
 
     For all x, y the sets f^-1 f(x.y), f^-1(f(x).f(y)), x.f^-1 f(y) and
-    f^-1 f(x).y must be equal.
+    f^-1 f(x).y must be equal. f^-1 is injective on the subsets of a
+    surjection's codomain, so the first two agree exactly when f is a
+    morphism; the other three are the saturation identity of the fibres.
     """
-    if not f.surjective:
-        return False
-    dom, cod = f.dom, f.cod
-    for x in range(dom.n):
-        for y in range(dom.n):
-            a = f.pre(f.img(dom.table[x][y]))
-            b = f.pre(product_of_sets(cod, 1 << f.image[x], 1 << f.image[y]))
-            c = product_of_sets(dom, 1 << x, f.pre(f.img(1 << y)))
-            d = product_of_sets(dom, f.pre(f.img(1 << x)), 1 << y)
-            if not (a == b == c == d):
-                return False
-    return True
+    dom = f.dom
+    return (f.surjective and is_morphism(f)
+            and saturation_identity(dom.table, zip(*dom.table), f.image))
 
 
 def _element_invariant(m: Multistructure, x: int):
@@ -565,6 +585,8 @@ def from_json(text: str) -> Multistructure:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or set(obj) != {"elements", "table"}:
         raise ParseError('structure JSON needs exactly the keys "elements" and "table"')
     names = obj["elements"]

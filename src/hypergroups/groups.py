@@ -214,9 +214,10 @@ def stabilizer_subgroup(g: GroupTable, point: int) -> Subgroup:
 
 def set_mult(g: GroupTable, amask: int, bmask: int) -> int:
     out = 0
+    bs = members(bmask)
     for a in members(amask):
         row = g.table[a]
-        for b in members(bmask):
+        for b in bs:
             out |= 1 << row[b]
     return out
 
@@ -234,11 +235,11 @@ def generated(g: GroupTable, gens: int) -> int:
     """Mask of the subgroup generated by the masked elements."""
     acc = 1 << g.identity
     frontier = acc
-    gens |= mask_of(g.inverse[x] for x in members(gens))
+    gs = members(gens | mask_of(g.inverse[x] for x in members(gens)))
     while frontier:
         new = 0
         for x in members(frontier):
-            for s in members(gens):
+            for s in gs:
                 y = g.table[x][s]
                 if not (acc >> y & 1):
                     new |= 1 << y
@@ -247,25 +248,34 @@ def generated(g: GroupTable, gens: int) -> int:
     return acc
 
 
-def subgroups(g: GroupTable, cap: int = DEFAULT_GROUP_CAP) -> tuple[Subgroup, ...]:
-    """All subgroups, by cyclic extension; sorted by (order, mask)."""
+def overgroups(g: GroupTable, hmask: int,
+               cap: int = DEFAULT_GROUP_CAP) -> tuple[Subgroup, ...]:
+    """The interval [H, G]: every subgroup containing H, sorted by (order, mask).
+
+    Cyclic extension from H (Neubüser's method): each subgroup above H is
+    <K, x> for a smaller one K in the interval, and every element of the
+    right coset Kx gives the same <K, x>, so one x per coset is tried.
+    """
     if g.n > cap:
         raise CapExceeded(f"group order {g.n} exceeds cap {cap}")
-    found = {1 << g.identity}
-    frontier = [1 << g.identity]
-    while frontier:
-        nxt = []
-        for hm in frontier:
-            for x in range(g.n):
-                if hm >> x & 1:
-                    continue
-                ext = generated(g, hm | 1 << x)
-                if ext not in found:
-                    found.add(ext)
-                    nxt.append(ext)
-        frontier = nxt
-    masks = sorted(found, key=lambda m: (m.bit_count(), m))
-    return tuple(Subgroup(g, m) for m in masks)
+    found = {Subgroup(g, hmask).mask}
+    todo = [hmask]
+    while todo:
+        km = todo.pop()
+        rest = g.full_mask & ~km
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= ~set_mult(g, km, 1 << x)
+            ext = generated(g, km | 1 << x)
+            if ext not in found:
+                found.add(ext)
+                todo.append(ext)
+    return tuple(Subgroup(g, m) for m in sorted(found, key=lambda m: (m.bit_count(), m)))
+
+
+def subgroups(g: GroupTable, cap: int = DEFAULT_GROUP_CAP) -> tuple[Subgroup, ...]:
+    """All subgroups, sorted by (order, mask)."""
+    return overgroups(g, 1 << g.identity, cap)
 
 
 def is_normal(g: GroupTable, hmask: int) -> bool:
@@ -275,12 +285,7 @@ def is_normal(g: GroupTable, hmask: int) -> bool:
 
 def is_maximal(g: GroupTable, hmask: int, cap: int = DEFAULT_GROUP_CAP) -> bool:
     """Proper, and no subgroup sits strictly between it and the group."""
-    if hmask == g.full_mask:
-        return False
-    for s in subgroups(g, cap):
-        if s.mask != hmask and s.mask != g.full_mask and (s.mask & hmask) == hmask:
-            return False
-    return True
+    return len(overgroups(g, hmask, cap)) == 2
 
 
 def is_invariant_modulo(g: GroupTable, hmask: int, kmask: int) -> bool:

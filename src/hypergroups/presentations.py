@@ -22,13 +22,13 @@ from .core import (
     check_carrier_size,
     members,
     restricted_growth,
+    saturation_identity,
     verify_axioms,
 )
 from .groups import coset_mask
 from .simplicity import (
     DEFAULT_SIMPLICITY_CAP,
     SimplicityReport,
-    saturation_identity,
     simplicity_report,
 )
 

@@ -12,7 +12,7 @@ subgroup-side decider for coset structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .core import (
     CapExceeded,
@@ -21,42 +21,17 @@ from .core import (
     Multistructure,
     find_isomorphism,
     members,
+    saturation_identity,
 )
 from .groups import (
     DEFAULT_GROUP_CAP,
     GroupTable,
     Subgroup,
     is_invariant_modulo,
-    subgroups,
+    overgroups,
 )
 
 DEFAULT_SIMPLICITY_CAP = 12
-
-
-def saturation_identity(rows: Iterable[Sequence[int]], cols: Iterable[Sequence[int]],
-                        class_of: Sequence[int]) -> bool:
-    """is_reflector_congruence's identity on a table given by its rows and
-    its columns, as masks over the carrier that class_of labels.
-
-    Rows check sat(x.y) against the row union over the class of y,
-    columns against the column union over the class of x. Masks are
-    plain ints, so the carrier may exceed 64 elements.
-    """
-    masks = [0] * (max(class_of) + 1)
-    for i, lab in enumerate(class_of):
-        masks[lab] |= 1 << i
-    sat = {0: 0}
-    for lines in (rows, cols):
-        for line in lines:
-            union = [0] * len(masks)
-            for y, e in enumerate(line):
-                union[class_of[y]] |= e
-            for y, e in enumerate(line):
-                if e not in sat:  # the classes are disjoint: sum is union
-                    sat[e] = sum(cm for cm in masks if cm & e)
-                if union[class_of[y]] != sat[e]:
-                    return False
-    return True
 
 
 def is_reflector_congruence(h: Hypergroup, eq: EquivalenceRelation) -> bool:
@@ -252,9 +227,9 @@ def bell_number(n: int) -> int:
 @dataclass(frozen=True)
 class SimplicityReport:
     simple: bool
-    invariant_count: int  # reflector congruences found
-    checked: int  # Bell(n): the partitions the pruned search decides over
-    witness: Optional[EquivalenceRelation] = None  # first proper congruence
+    invariant_count: int  # reflector congruences, or subgroups invariant modulo H
+    checked: int  # the candidates decided over: Bell(n) partitions, or |[H, G]|
+    witness: Optional[EquivalenceRelation | Subgroup] = None  # first proper one
 
     def __bool__(self) -> bool:
         return self.simple
@@ -276,22 +251,27 @@ def simplicity_report(h: Hypergroup,
 
 def invariant_modulo_subgroups(g: GroupTable, h: Subgroup,
                                cap: int = DEFAULT_GROUP_CAP) -> list[Subgroup]:
-    """All subgroups K with KxK = HxK = KxH for every x.
+    """All subgroups K with KxK = HxK = KxH for every x, in (order, mask) order.
 
-    Always contains h itself and the whole group.
+    Such K lie in the interval [h, g], both ends included.
     """
-    return [k for k in subgroups(g, cap) if is_invariant_modulo(g, h.mask, k.mask)]
+    return [k for k in overgroups(g, h.mask, cap) if is_invariant_modulo(g, h.mask, k.mask)]
+
+
+def coset_simplicity_report(g: GroupTable, h: Subgroup,
+                            cap: int = DEFAULT_GROUP_CAP) -> SimplicityReport:
+    """Simplicity of the coset structure, decided on the interval [h, g].
+
+    Simple when h and g are the only subgroups invariant modulo h (so not
+    for h = g); the witness is the first invariant one strictly between.
+    """
+    interval = overgroups(g, h.mask, cap)
+    inv = [k for k in interval if is_invariant_modulo(g, h.mask, k.mask)]
+    witness = next((k for k in inv if k.mask not in (h.mask, g.full_mask)), None)
+    return SimplicityReport(len(inv) == 2, len(inv), len(interval), witness)
 
 
 def is_simple_coset(g: GroupTable, h: Subgroup,
                     cap: int = DEFAULT_GROUP_CAP) -> bool:
-    """Simplicity of the coset structure, decided on the subgroup side.
-
-    True iff the only subgroups invariant modulo h are h and g. The
-    whole-group case gives the trivial one-element structure, which is
-    not simple.
-    """
-    if h.mask == g.full_mask:
-        return False
-    inv = invariant_modulo_subgroups(g, h, cap)
-    return len(inv) == 2
+    """coset_simplicity_report's verdict."""
+    return coset_simplicity_report(g, h, cap).simple

@@ -9,6 +9,7 @@ from hypergroups.core import (
     Hypergroup,
     Multistructure,
     members,
+    product_of_sets,
 )
 from hypergroups.groups import (
     GroupTable,
@@ -114,6 +115,60 @@ def naive_reflector_partitions(m):
 
 def blocks_of(eq: EquivalenceRelation):
     return [sorted(members(cm)) for cm in eq.class_masks]
+
+
+def naive_is_reflector(f):
+    """is_reflector by its definition: surjective, and for all x, y the
+    sets f^-1 f(x.y), f^-1(f(x).f(y)), x.f^-1 f(y) and f^-1 f(x).y equal."""
+    if not f.surjective:
+        return False
+    dom, cod = f.dom, f.cod
+    for x in range(dom.n):
+        for y in range(dom.n):
+            a = f.pre(f.img(dom.table[x][y]))
+            b = f.pre(product_of_sets(cod, 1 << f.image[x], 1 << f.image[y]))
+            c = product_of_sets(dom, 1 << x, f.pre(f.img(1 << y)))
+            d = product_of_sets(dom, f.pre(f.img(1 << x)), 1 << y)
+            if not (a == b == c == d):
+                return False
+    return True
+
+
+# --- subgroup oracles: plain-set closures, every x tried ---------------------
+
+
+def naive_closure(g, elems):
+    """The subgroup generated by elems, by multiplying until nothing is new."""
+    acc = {g.identity} | set(elems)
+    while True:
+        new = {g.table[a][b] for a in acc for b in acc} - acc
+        if not new:
+            return frozenset(acc)
+        acc |= new
+
+
+def naive_overgroup_masks(g, hmask):
+    """Masks of the subgroups containing H: extend each found subgroup by
+    every element outside it; sorted by (order, mask)."""
+    start = naive_closure(g, members(hmask))
+    found, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for k in frontier:
+            for x in range(g.n):
+                ext = naive_closure(g, k | {x})
+                if ext not in found:
+                    found.add(ext)
+                    nxt.append(ext)
+        frontier = nxt
+    masks = [sum(1 << x for x in k) for k in found]
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def naive_is_maximal(g, hmask, all_masks):
+    """Proper, and no subgroup of the whole lattice strictly between."""
+    return hmask != g.full_mask and not any(
+        m not in (hmask, g.full_mask) and m & hmask == hmask for m in all_masks)
 
 
 # --- group corpus -------------------------------------------------------------

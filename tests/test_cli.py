@@ -8,8 +8,9 @@ import pytest
 from hypergroups.cli import format_trame, parse_trame
 from hypergroups.constructions import canonical_presentation, s_family
 from hypergroups.core import to_json
-from hypergroups.groups import as_hypergroup, cyclic_group, symmetric_group
+from hypergroups.groups import Subgroup, as_hypergroup, cyclic_group, symmetric_group
 from hypergroups.presentations import Trame, coset_relation, group_trame
+from hypergroups.simplicity import SimplicityReport
 
 STAB3 = ('{"elements":["e","y1","y2"],"table":[[["e"],["y1","y2"],["y1","y2"]],'
          '[["y1"],["e","y2"],["e","y2"]],[["y2"],["e","y1"],["e","y1"]]]}')
@@ -177,6 +178,27 @@ def test_simple_coset_golden():
     # explicit member list means the same subgroup
     r = run_cli("simple-coset", "sym:3", "{012,021}")
     assert r.returncode == 0 and json.loads(r.stdout)["simple"]
+
+
+def test_simple_coset_emits_the_library_report(monkeypatch, capsys):
+    # the verb formats coset_simplicity_report and derives nothing itself
+    import hypergroups.cli as cli
+    calls = []
+
+    def stub(g, h, cap):
+        calls.append((g.n, h.mask, cap))
+        if h.mask == 1:
+            return SimplicityReport(True, 7, 9, Subgroup(g, 0b0101))
+        return SimplicityReport(False, 1, 4, None)
+
+    monkeypatch.setattr(cli, "coset_simplicity_report", stub)
+    assert cli.main(["simple-coset", "cyc:4", "{0}", "--cap-group", "50"]) == 0
+    assert capsys.readouterr().out == \
+        '{"simple":true,"subgroups_invariant":7,"witness":["0","2"]}\n'
+    assert cli.main(["simple-coset", "cyc:4", "{0,2}"]) == 1
+    assert capsys.readouterr().out == \
+        '{"simple":false,"subgroups_invariant":1,"witness":null}\n'
+    assert calls == [(4, 1, 50), (4, 0b0101, 120)]
 
 
 def test_simple_refuses_oversized_before_certifying(tmp_path):
@@ -419,6 +441,35 @@ def test_input_error_exit_codes(files, tmp_path):
     assert run_cli("gen", "nope", "1").returncode == 2
     assert run_cli("gen", "stab", "0").returncode == 2
     assert run_cli("gen", "s-family", "0").returncode == 2
+
+
+def test_gen_argument_count(capsys):
+    import hypergroups.cli as cli
+    cases = [
+        (["gen", "coset", "sym:3"], "gen coset takes 2 arguments, got 1"),
+        (["gen", "utumi", "cyc:4"], "gen utumi takes 3 arguments, got 1"),
+        (["gen", "utumi", "cyc:4", "{0}|{1,2,3}", "0", "extra"],
+         "gen utumi takes 3 arguments, got 4"),
+        (["gen", "cyc", "4", "5", "6"], "gen cyc takes 1 argument, got 3"),
+        (["gen", "sym", "3", "4"], "gen sym takes 1 argument, got 2"),
+        (["gen", "stab", "3", "3"], "gen stab takes 1 argument, got 2"),
+        (["gen", "canon", "a.json", "b.json"], "gen canon takes 1 argument, got 2"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n", argv
+    assert cli.main(["gen", "s-family", "2", "3", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["elements"][0] == "e"
+
+
+def test_deeply_nested_json_is_malformed_input(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv in (["verify", str(deep)], ["iso", str(deep), str(deep)]):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and r.stdout == "", argv
+        assert r.stderr == "error: invalid JSON: nested too deeply\n"
 
 
 def test_trame_roundtrip():

@@ -33,7 +33,7 @@ from hypergroups.core import (
 
 from hypergroups.constructions import SFamilyClass, s_family, s_family_class
 
-from conftest import naive_axiom_report, set_product, table_sets
+from conftest import naive_axiom_report, naive_is_reflector, set_product, table_sets
 
 
 def cyclic_ms(n):
@@ -254,6 +254,47 @@ def test_reflector_saturated_product_identity(small_hypergroup_corpus):
                     rhs = f.pre(
                         product_of_sets(q.m, 1 << f.image[x], 1 << f.image[y]))
                     assert lhs == rhs
+
+
+def test_is_reflector_matches_four_set_oracle(small_hypergroup_corpus):
+    # domains: the corpus and random tables; maps: fibres of a reflector
+    # congruence or random labels, onto the induced table, a perturbed
+    # one or a random one, sometimes into a larger codomain
+    from hypergroups.simplicity import reflector_congruences
+    rng = random.Random(7)
+    doms = [(h.m, [tuple(c.eq.class_of) for c in reflector_congruences(h)])
+            for h in small_hypergroup_corpus if h.n <= 6]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = tuple(tuple(rng.randint(0, (1 << n) - 1) for _ in range(n))
+                     for _ in range(n))
+        doms.append((Multistructure(tuple(map(str, range(n))), rows), []))
+    maps = reflectors = 0
+    for dom, fibres in doms:
+        for _ in range(40):
+            if fibres and rng.random() < 0.6:
+                image = rng.choice(fibres)
+            else:
+                classes = rng.randint(1, dom.n)
+                image = tuple(rng.randrange(classes) for _ in range(dom.n))
+            k = max(image) + 1 + (rng.random() < 0.1)
+            induced = [[0] * k for _ in range(k)]
+            for x in range(dom.n):
+                for y in range(dom.n):
+                    for z in members(dom.table[x][y]):
+                        induced[image[x]][image[y]] |= 1 << image[z]
+            mode = rng.random()
+            if mode < 0.2:
+                induced = [[rng.randint(0, (1 << k) - 1) for _ in range(k)] for _ in range(k)]
+            elif mode < 0.3:
+                induced[rng.randrange(k)][rng.randrange(k)] ^= 1 << rng.randrange(k)
+            cod = Multistructure(tuple(map(str, range(k))), tuple(map(tuple, induced)))
+            f = Mapping(dom, cod, image)
+            got = is_reflector(f)
+            assert got == naive_is_reflector(f), (dom.table, cod.table, image)
+            maps += 1
+            reflectors += got
+    assert maps > 10000 and 1000 < reflectors < maps - 1000
 
 
 @given(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))

@@ -19,6 +19,7 @@ from hypergroups.groups import (
     is_invariant_modulo,
     is_maximal,
     is_normal,
+    overgroups,
     set_mult,
     stabilizer_subgroup,
     subgroups,
@@ -26,7 +27,12 @@ from hypergroups.groups import (
     verify_group,
 )
 
-from conftest import alternating_subgroup, parity
+from conftest import (
+    alternating_subgroup,
+    naive_is_maximal,
+    naive_overgroup_masks,
+    parity,
+)
 
 
 def mutated_z3():
@@ -267,6 +273,43 @@ def test_maximality(sym3, z8):
     assert not is_maximal(z8, 0b00010001)
     assert is_maximal(z8, 0b01010101)
     assert not is_maximal(sym3, 0b111111)  # proper required
+
+
+def test_overgroups_match_lattice_filter(sym3, sym4, dih8, dih12, z8, klein):
+    # the interval [H, G] is the whole lattice filtered by H in K, in the
+    # same (order, mask) order; is_maximal agrees with the lattice sweep
+    intervals = 0
+    for g in (sym3, sym4, dih8, dih12, z8, klein):
+        lattice = naive_overgroup_masks(g, 1 << g.identity)
+        assert [s.mask for s in subgroups(g)] == lattice
+        for hmask in lattice:
+            got = [s.mask for s in overgroups(g, hmask)]
+            assert got == [m for m in lattice if m & hmask == hmask], (g.names, hmask)
+            assert is_maximal(g, hmask) == naive_is_maximal(g, hmask, lattice)
+            intervals += 1
+    assert intervals == 6 + 30 + 10 + 16 + 4 + 5
+
+
+def test_overgroups_in_sym5():
+    g = symmetric_group(5)
+    stab = stabilizer_subgroup(g, 0).mask
+    assert [s.mask for s in overgroups(g, stab)] == [stab, g.full_mask]
+    assert is_maximal(g, stab)
+    # Sym{2,3,4}: itself, times Sym{0,1}, the two point stabilisers, S5
+    fix01 = mask_of(i for i, p in enumerate(g.perms) if p[0] == 0 and p[1] == 1)
+    got = [s.mask for s in overgroups(g, fix01)]
+    assert got == naive_overgroup_masks(g, fix01)
+    assert [m.bit_count() for m in got] == [6, 12, 24, 24, 120]
+    assert not is_maximal(g, fix01)
+
+
+def test_overgroups_refuse_non_subgroups_and_oversized_groups(sym3):
+    with pytest.raises(GroupError):
+        overgroups(sym3, 0b000110)  # no identity
+    with pytest.raises(GroupError):
+        is_maximal(sym3, 0b001011)  # not closed
+    with pytest.raises(CapExceeded):
+        overgroups(sym3, 1, cap=5)
 
 
 def test_invariance_modulo_trivial_is_normality(sym3, dih8, z8):

@@ -16,8 +16,10 @@ from hypergroups.groups import (
     as_hypergroup,
     cyclic_group,
     dihedral_group,
+    is_invariant_modulo,
     is_maximal,
     is_normal,
+    overgroups,
     stabilizer_subgroup,
     subgroups,
     symmetric_group,
@@ -35,6 +37,7 @@ from hypergroups.simplicity import (
     DEFAULT_SIMPLICITY_CAP,
     ReflectorCongruence,
     bell_number,
+    coset_simplicity_report,
     invariant_modulo_subgroups,
     is_reflector_congruence,
     is_simple,
@@ -260,6 +263,28 @@ def test_coset_simplicity_dual_route(coset_test_set):
     assert len(coset_test_set) >= 80
     for g, sub in coset_test_set:
         assert is_simple_coset(g, sub) == is_simple(right_coset_hypergroup(g, sub))
+
+
+def test_coset_simplicity_report_counts_congruences(coset_test_set, dih12):
+    # subgroups invariant modulo H <-> reflector congruences of G/H, on both sides
+    pairs = coset_test_set + [(dih12, sub) for sub in subgroups(dih12)]
+    witnesses = 0
+    for g, sub in pairs:
+        rep = coset_simplicity_report(g, sub)
+        for build in (right_coset_hypergroup, left_coset_hypergroup):
+            assert rep.invariant_count == simplicity_report(build(g, sub)).invariant_count, \
+                (g.names, sub.mask, build.__name__)
+        assert rep.simple == (rep.invariant_count == 2)
+        assert rep.checked == len(overgroups(g, sub.mask))
+        between = [k for k in overgroups(g, sub.mask)
+                   if k.mask not in (sub.mask, g.full_mask)
+                   and is_invariant_modulo(g, sub.mask, k.mask)]
+        assert rep.witness == (between[0] if between else None)
+        if rep.witness is not None:
+            k = rep.witness.mask
+            assert k & sub.mask == sub.mask and k not in (sub.mask, g.full_mask)
+            witnesses += 1
+    assert len(pairs) == 96 and witnesses == 45
 
 
 def test_left_right_coset_simplicity_duality(coset_test_set):

@@ -1,6 +1,7 @@
 """Properties of the library's source text."""
 
 import ast
+import importlib
 import pathlib
 
 import hypergroups
@@ -31,3 +32,17 @@ def test_no_function_local_imports():
                 found |= {f"{name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert sorted(found) == []
+
+
+def test_tracer_wrapped_names_exist():
+    # the traced benchmark replay patches every WRAPPED name with getattr,
+    # so a name that no longer exists crashes it
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"])
+    missing = [f"{mod}.{name}" for mod, names in wrapped.items() for name in names
+               if not callable(getattr(importlib.import_module(f"hypergroups.{mod}"),
+                                       name, None))]
+    assert len(wrapped) == 6 and missing == []
