@@ -37,6 +37,7 @@ from .groups import (
     GroupTable,
     Subgroup,
     as_hypergroup,
+    check_group_order,
     cyclic_group,
     stabilizer_subgroup,
     symmetric_group,
@@ -141,14 +142,12 @@ def _load_group(arg: str, cap: int) -> GroupTable:
         return symmetric_group(int(arg[4:]), cap)
     if arg.startswith("cyc:"):
         order = int(arg[4:])
-        if order > cap:
-            raise CapExceeded(f"group order {order} exceeds cap {cap}")
+        check_group_order(order, cap)
         return cyclic_group(order)
     ms = _read_structure(arg)
     if any(e.bit_count() != 1 for row in ms.table for e in row):
         raise GroupError("range", "file structure is not univalent")
-    if ms.n > cap:
-        raise CapExceeded(f"group order {ms.n} exceeds cap {cap}")
+    check_group_order(ms.n, cap)
     return verify_group([[e.bit_length() - 1 for e in row] for row in ms.table], ms.names)
 
 
@@ -400,7 +399,7 @@ def _cmd_trame(args) -> int:
         return 0
     if args.action == "adequate":
         rep = is_adequate(p)
-        names = p.class_names()
+        names = quotient(p).names
         _emit({
             "adequate": bool(rep),
             "reproductive": rep.reproductive,
@@ -420,60 +419,62 @@ def _cmd_trame(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--cap-n", type=int, default=DEFAULT_SIMPLICITY_CAP,
-                      help="carrier cap for congruence search (default 12)")
-    caps.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP,
-                      help="group order cap (default 120)")
-    caps.add_argument("--cap-trame", type=int, default=DEFAULT_TRAME_CAP,
-                      help="trame carrier cap (default 65536)")
+    # one parent per cap, so each verb accepts only the caps it reads
+    cap_n = argparse.ArgumentParser(add_help=False)
+    cap_n.add_argument("--cap-n", type=int, default=DEFAULT_SIMPLICITY_CAP,
+                       help="carrier cap for congruence search (default 12)")
+    cap_group = argparse.ArgumentParser(add_help=False)
+    cap_group.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP,
+                           help="group order cap (default 120)")
+    cap_trame = argparse.ArgumentParser(add_help=False)
+    cap_trame.add_argument("--cap-trame", type=int, default=DEFAULT_TRAME_CAP,
+                           help="trame carrier cap (default 65536)")
 
     ap = argparse.ArgumentParser(
         prog="hypergroups",
         description="finite hypergroups: generators, verifiers, simplicity deciders")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    g = sub.add_parser("gen", parents=[caps], help="emit a structure as JSON")
+    g = sub.add_parser("gen", parents=[cap_group, cap_trame], help="emit a structure as JSON")
     g.add_argument("kind", choices=list(_GEN_ARITY))
     g.add_argument("args", nargs="+")
     g.add_argument("--side", choices=["right", "left"], default="right")
     g.set_defaults(fn=_cmd_gen)
 
-    v = sub.add_parser("verify", parents=[caps], help="check the hypergroup axioms")
+    v = sub.add_parser("verify", help="check the hypergroup axioms")
     v.add_argument("file")
     v.set_defaults(fn=_cmd_verify)
 
-    s = sub.add_parser("simple", parents=[caps], help="decide simplicity by search")
+    s = sub.add_parser("simple", parents=[cap_n], help="decide simplicity by search")
     s.add_argument("file")
     s.add_argument("--method", choices=["brute"], default="brute")
     s.set_defaults(fn=_cmd_simple)
 
-    sc = sub.add_parser("simple-coset", parents=[caps],
+    sc = sub.add_parser("simple-coset", parents=[cap_group],
                         help="decide coset-structure simplicity on the subgroup side")
     sc.add_argument("group")
     sc.add_argument("subgroup")
     sc.set_defaults(fn=_cmd_simple_coset)
 
-    rf = sub.add_parser("reflets", parents=[caps],
+    rf = sub.add_parser("reflets", parents=[cap_n],
                         help="list quotients by all reflector congruences")
     rf.add_argument("file")
     rf.set_defaults(fn=_cmd_reflets)
 
-    i = sub.add_parser("iso", parents=[caps], help="search for an isomorphism")
+    i = sub.add_parser("iso", help="search for an isomorphism")
     i.add_argument("file1")
     i.add_argument("file2")
     i.set_defaults(fn=_cmd_iso)
 
-    o = sub.add_parser("opposite", parents=[caps], help="transpose the operation")
+    o = sub.add_parser("opposite", help="transpose the operation")
     o.add_argument("file")
     o.set_defaults(fn=_cmd_opposite)
 
-    c = sub.add_parser("classify-s", parents=[caps],
-                       help="classify S(n, sizes) parameters")
+    c = sub.add_parser("classify-s", help="classify S(n, sizes) parameters")
     c.add_argument("sizes", nargs="+")
     c.set_defaults(fn=_cmd_classify_s)
 
-    t = sub.add_parser("trame", parents=[caps], help="partial-operation files")
+    t = sub.add_parser("trame", parents=[cap_trame], help="partial-operation files")
     t.add_argument("action", choices=["quotient", "adequate", "invariant"])
     t.add_argument("file")
     t.add_argument("--s", default=None,

@@ -26,6 +26,7 @@ from .core import (
     is_group,
     members,
     product_of_sets,
+    quotient_table,
     verify_axioms,
 )
 from .groups import (
@@ -40,32 +41,28 @@ from .presentations import (
     Presentation,
     Trame,
     coset_relation,
-    quotient_table,
 )
 
 
-def _coset_structure(g: GroupTable, hmask: int, side: str) -> Hypergroup:
-    # the group's multiplication read on cosets: each coset is named after
-    # its least member, and the products of whole cosets are all x.y
-    labels = coset_relation(g, hmask, side)
+def _coset_structure(g: GroupTable, h: Subgroup, side: str) -> Hypergroup:
+    # the group's multiplication read on cosets, named xH or Hx after
+    # their least members: the products of whole cosets are all x.y
+    if h.parent is not g:
+        raise ValueError("subgroup belongs to a different group")
     form = "{}H" if side == "right" else "H{}"
-    names = tuple(form.format(g.names[labels.index(c)]) for c in range(max(labels) + 1))
     products = (((x, y), w) for x, row in enumerate(g.table) for y, w in enumerate(row))
-    return Hypergroup.certify(Multistructure(names, quotient_table(products, labels)))
+    return Hypergroup.certify(quotient_table(tuple(form.format(s) for s in g.names),
+                                             products, coset_relation(g, h.mask, side)))
 
 
 def right_coset_hypergroup(g: GroupTable, h: Subgroup) -> Hypergroup:
     """Classes xH with (xH).(yH) = set of cosets meeting xHyH."""
-    if h.parent is not g:
-        raise ValueError("subgroup belongs to a different group")
-    return _coset_structure(g, h.mask, "right")
+    return _coset_structure(g, h, "right")
 
 
 def left_coset_hypergroup(g: GroupTable, h: Subgroup) -> Hypergroup:
     """Classes Hx; the opposite of the right-coset structure."""
-    if h.parent is not g:
-        raise ValueError("subgroup belongs to a different group")
-    return _coset_structure(g, h.mask, "left")
+    return _coset_structure(g, h, "left")
 
 
 def stabilizer_hypergroup(alpha: int) -> Hypergroup:

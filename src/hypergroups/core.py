@@ -463,6 +463,29 @@ def restricted_growth(labels: Iterable) -> tuple[int, ...]:
     return tuple(seen.setdefault(lab, len(seen)) for lab in labels)
 
 
+def quotient_table(names: Sequence[str],
+                   products: Iterable[tuple[tuple[int, int], int]],
+                   labels: Sequence[int]) -> Multistructure:
+    """The table induced on classes: the class of w lies in [u].[v] for
+    every product ((u, v), w); a multivalued product is one such triple
+    per member.
+
+    labels are in restricted-growth order, so the first element met with
+    each label is its class's least member, whose name the class takes.
+    Refuses more than 64 classes before building.
+    """
+    k = max(labels) + 1
+    check_carrier_size(k)
+    class_names: list[str] = []
+    for name, lab in zip(names, labels):
+        if lab == len(class_names):
+            class_names.append(name)
+    table = [[0] * k for _ in range(k)]
+    for (u, v), w in products:
+        table[labels[u]][labels[v]] |= 1 << labels[w]
+    return Multistructure(tuple(class_names), tuple(tuple(row) for row in table))
+
+
 @dataclass(frozen=True)
 class EquivalenceRelation:
     """An equivalence on {0..n-1}, stored as canonical class labels.
@@ -610,7 +633,7 @@ def from_json(text: str) -> Multistructure:
                 raise ParseError(f"table entry ({i},{j}) must be a list of names")
             mask = 0
             for s in entry:
-                if s not in index:
+                if not isinstance(s, str) or s not in index:
                     raise ParseError(f"unknown element name {s!r} in entry ({i},{j})")
                 mask |= 1 << index[s]
             out_row.append(mask)

@@ -8,7 +8,6 @@ the parent's carrier. Everything here feeds the coset constructions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -131,13 +130,22 @@ def from_permutations(perms: Sequence[Sequence[int]]) -> GroupTable:
     return g
 
 
+def check_group_order(order: int, cap: int, shown: object = None) -> None:
+    """Refuse a group above the order cap before building it; shown, when
+    given, stands for the order in the message."""
+    if order > cap:
+        raise CapExceeded(f"group order {order if shown is None else shown} exceeds cap {cap}")
+
+
 def symmetric_group_order(m: int, cap: int = DEFAULT_GROUP_CAP) -> int:
-    """m!, once the degree is valid and the order within cap."""
+    """m!, once the degree is valid and the order within cap. The product
+    stops once it passes cap, so a huge degree is refused at once, as m!."""
     if m < 1:
         raise ValueError("degree must be >= 1")
-    order = math.factorial(m)
-    if order > cap:
-        raise CapExceeded(f"group order {order} exceeds cap {cap}")
+    order = 1
+    for i in range(2, m + 1):
+        order *= i
+        check_group_order(order, cap, order if i == m else f"{m}!")
     return order
 
 
@@ -256,8 +264,7 @@ def overgroups(g: GroupTable, hmask: int,
     <K, x> for a smaller one K in the interval, and every element of the
     right coset Kx gives the same <K, x>, so one x per coset is tried.
     """
-    if g.n > cap:
-        raise CapExceeded(f"group order {g.n} exceeds cap {cap}")
+    check_group_order(g.n, cap)
     found = {Subgroup(g, hmask).mask}
     todo = [hmask]
     while todo:

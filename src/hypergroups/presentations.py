@@ -14,13 +14,13 @@ the quotient's table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     Hypergroup,
     Multistructure,
-    check_carrier_size,
     members,
+    quotient_table,
     restricted_growth,
     saturation_identity,
     verify_axioms,
@@ -81,14 +81,6 @@ class Presentation:
     def k(self) -> int:
         return self._k
 
-    def class_names(self) -> tuple[str, ...]:
-        """Each class named after its least member."""
-        out: list[str] = []
-        for name, lab in zip(self.trame.names, self.r):
-            if lab == len(out):
-                out.append(name)
-        return tuple(out)
-
 
 def group_trame(g) -> Trame:
     """A group's full multiplication as a (total) trame."""
@@ -105,22 +97,10 @@ def coset_relation(g, hmask: int, side: str) -> tuple[int, ...]:
     return restricted_growth(labels)
 
 
-def quotient_table(products: Iterable[tuple[tuple[int, int], int]],
-                   labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The table on classes: the class of w lies in [u].[v] for every
-    product ((u, v), w). Refuses more than 64 classes before building.
-    """
-    k = max(labels) + 1
-    check_carrier_size(k)
-    table = [[0] * k for _ in range(k)]
-    for (u, v), w in products:
-        table[labels[u]][labels[v]] |= 1 << labels[w]
-    return tuple(tuple(row) for row in table)
-
-
 def quotient(p: Presentation) -> Multistructure:
-    """The multivalued table induced on R-classes by composable products."""
-    return Multistructure(p.class_names(), quotient_table(p.trame.op.items(), p.r))
+    """The multivalued table induced on R-classes by composable products,
+    each class named after its least member."""
+    return quotient_table(p.trame.names, p.trame.op.items(), p.r)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from .core import (
     CapExceeded,
     EquivalenceRelation,
     Hypergroup,
-    Multistructure,
     find_isomorphism,
     members,
+    quotient_table,
     saturation_identity,
 )
 from .groups import (
@@ -70,27 +70,14 @@ def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
     """The reflet: classes, with [x].[y] = classes meeting x.y.
 
     Any representatives give the same class set, so the table reads off
-    one representative pair per class pair. Class names are the names of
+    the products of least members only. Classes are named after their
     least members, so the identity congruence reproduces h itself.
     """
     if c.over is not h and c.over.m != h.m:
         raise ValueError("congruence was validated over a different hypergroup")
-    eq = c.eq
-    k = eq.k
-    reps = [members(cm)[0] for cm in eq.class_masks]
-    names = tuple(h.names[r] for r in reps)
-    table = []
-    for a in range(k):
-        row = []
-        for b in range(k):
-            prod = h.table[reps[a]][reps[b]]
-            mask = 0
-            for cidx, cm in enumerate(eq.class_masks):
-                if cm & prod:
-                    mask |= 1 << cidx
-            row.append(mask)
-        table.append(tuple(row))
-    return Hypergroup.certify(Multistructure(names, tuple(table)))
+    reps = [(cm & -cm).bit_length() - 1 for cm in c.eq.class_masks]
+    products = (((a, b), w) for a in reps for b in reps for w in members(h.table[a][b]))
+    return Hypergroup.certify(quotient_table(h.names, products, c.eq.class_of))
 
 
 def _suffix_unions(table, n):

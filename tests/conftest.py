@@ -134,6 +134,17 @@ def naive_is_reflector(f):
     return True
 
 
+def naive_quotient_by(h, eq):
+    """Names and table of the reflet by a class-mask loop: the classes
+    meeting the product of least representatives, named after them."""
+    reps = [members(cm)[0] for cm in eq.class_masks]
+    table = tuple(
+        tuple(sum(1 << c for c, cm in enumerate(eq.class_masks) if cm & h.table[a][b])
+              for b in reps)
+        for a in reps)
+    return tuple(h.names[r] for r in reps), table
+
+
 # --- subgroup oracles: plain-set closures, every x tried ---------------------
 
 

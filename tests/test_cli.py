@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -498,3 +499,63 @@ def test_trame_roundtrip():
         t2, r2 = parse_trame(format_trame(trame, rel3))
         assert t2.names == trame.names and t2.op == trame.op
         assert r2 == tuple(rel3)
+
+
+def test_non_string_entry_names_are_malformed_input(tmp_path):
+    for i, (entry, shown) in enumerate([('["a"]', "['a']"), ('{"a":1}', "{'a': 1}")]):
+        p = tmp_path / f"entry{i}.json"
+        p.write_text('{"elements":["a"],"table":[[[' + entry + ']]]}')
+        for argv in (["verify", str(p)], ["opposite", str(p)], ["iso", str(p), str(p)]):
+            r = run_cli(*argv)
+            assert r.returncode == 2 and r.stdout == "", argv
+            assert r.stderr == f"error: unknown element name {shown} in entry (0,0)\n"
+
+
+def test_huge_symmetric_degree_refused_at_once():
+    # the product stops once it passes the cap, so m! is never formed in
+    # full and never printed with millions of digits
+    for argv, order in [(["gen", "sym", "10000000"], "10000000!"),
+                        (["gen", "sym", "2000"], "2000!"),
+                        (["simple-coset", "sym:2000", "stab:0"], "2000!")]:
+        start = time.perf_counter()
+        r = subprocess.run([sys.executable, "-m", "hypergroups", *argv],
+                           capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 10, argv
+        assert r.returncode == 3 and r.stdout == "", argv
+        assert r.stderr == f"error: group order {order} exceeds cap 120\n"
+
+
+def test_each_verb_accepts_only_the_caps_it_reads(files, capsys):
+    import hypergroups.cli as cli
+    caps = {"--cap-n": ("cap_n", 12), "--cap-group": ("cap_group", 120),
+            "--cap-trame": ("cap_trame", 65536)}
+    verbs = {
+        ("gen", "cyc", "3"): {"--cap-group", "--cap-trame"},
+        ("simple", "f"): {"--cap-n"},
+        ("reflets", "f"): {"--cap-n"},
+        ("simple-coset", "cyc:3", "{0}"): {"--cap-group"},
+        ("trame", "quotient", "f"): {"--cap-trame"},
+        ("verify", "f"): set(),
+        ("iso", "f", "g"): set(),
+        ("opposite", "f"): set(),
+        ("classify-s", "3"): set(),
+    }
+    settable = 0
+    for argv, reads in verbs.items():
+        parser = cli.build_parser()
+        defaults = parser.parse_args(list(argv))
+        for flag, (attr, default) in caps.items():
+            if flag in reads:
+                assert getattr(defaults, attr) == default
+                assert getattr(parser.parse_args([*argv, flag, "7"]), attr) == 7
+                settable += 1
+            else:
+                assert not hasattr(defaults, attr), (argv, flag)
+                with pytest.raises(SystemExit) as e:
+                    parser.parse_args([*argv, flag, "7"])
+                assert e.value.code == 2, (argv, flag)
+                assert "unrecognized arguments" in capsys.readouterr().err
+    assert settable == 6
+    r = run_cli("verify", files["cyc4.json"], "--cap-n", "3")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "unrecognized arguments: --cap-n 3" in r.stderr

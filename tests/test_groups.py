@@ -11,6 +11,7 @@ from hypergroups.groups import (
     GroupError,
     Subgroup,
     as_hypergroup,
+    check_group_order,
     coset_mask,
     cyclic_group,
     dihedral_group,
@@ -24,6 +25,7 @@ from hypergroups.groups import (
     stabilizer_subgroup,
     subgroups,
     symmetric_group,
+    symmetric_group_order,
     verify_group,
 )
 
@@ -129,6 +131,22 @@ def test_symmetric_group_cap():
     assert symmetric_group(5).n == 120
     with pytest.raises(CapExceeded):
         symmetric_group(6)
+
+
+def test_group_order_cap_stops_the_product():
+    assert symmetric_group_order(5) == 120
+    check_group_order(120, 120)
+    with pytest.raises(CapExceeded, match=r"^group order 121 exceeds cap 120$"):
+        check_group_order(121, 120)
+    with pytest.raises(CapExceeded, match=r"^group order 720 exceeds cap 120$"):
+        symmetric_group_order(6)
+    # the product stops at 720, long before 10**7! could be formed
+    with pytest.raises(CapExceeded, match=r"^group order 10000000! exceeds cap 120$"):
+        symmetric_group_order(10 ** 7)
+    with pytest.raises(CapExceeded, match=r"^group order 5040 exceeds cap 720$"):
+        symmetric_group(7, cap=720)
+    with pytest.raises(CapExceeded, match=r"^group order 8! exceeds cap 720$"):
+        symmetric_group(8, cap=720)
 
 
 def test_dihedral_group_table(dih8):

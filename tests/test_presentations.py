@@ -315,6 +315,9 @@ def test_canonical_presentation_reproduces_tables(small_hypergroup_corpus):
         assert p.trame.t_n == h.n ** 4
         q = quotient(p)
         assert q.table == h.table
+        # each class after its least member, the copy (v, (0, 0, 0))
+        first = ",".join([h.names[0]] * 3)
+        assert q.names == tuple(f"{v}|{first}" for v in h.names)
         assert find_isomorphism(q, h.m) is not None
         assert bool(is_adequate(p))
     one = canonical_presentation(as_hypergroup(cyclic_group(1)))

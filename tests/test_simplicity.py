@@ -7,6 +7,7 @@ from hypergroups.core import (
     CapExceeded,
     EquivalenceRelation,
     Hypergroup,
+    Multistructure,
     find_isomorphism,
     is_group,
     opposite,
@@ -50,6 +51,7 @@ from hypergroups.simplicity import (
 
 from conftest import (
     blocks_of,
+    naive_quotient_by,
     naive_reflector_partitions,
     saturate,
     set_product,
@@ -167,6 +169,20 @@ def test_quotient_carrier_guard(z4h):
     assert quotient_by(as_hypergroup(cyclic_group(4)), c).n == 2
     with pytest.raises(ValueError, match="different"):
         quotient_by(stabilizer_hypergroup(3), c)
+
+
+def test_quotient_by_matches_class_mask_oracle(z8h, utumi_z8, coset_test_set):
+    # the quotient kernel against the class-mask loop, names included
+    total6 = Hypergroup.certify(Multistructure(tuple("abcdef"), ((63,) * 6,) * 6))
+    hs = [z8h, total6, utumi_z8] + [right_coset_hypergroup(g, sub)
+                                    for g, sub in coset_test_set]
+    compared = 0
+    for h in hs:
+        for c in reflector_congruences(h):
+            q = quotient_by(h, c)
+            assert (q.names, q.table) == naive_quotient_by(h, c.eq), (h.names, c.eq)
+            compared += 1
+    assert compared == 4 + 203 + 2 + 200  # Z8, total6 (Bell(6)), Utumi, coset spaces
 
 
 def test_reflets_frozen(z4h, z8h, sym3, klein, utumi_z8):
