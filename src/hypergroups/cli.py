@@ -24,6 +24,7 @@ from .core import (
     check_carrier_size,
     find_isomorphism,
     from_json,
+    is_group,
     json_obj,
     mask_of,
     members,
@@ -145,7 +146,7 @@ def _load_group(arg: str, cap: int) -> GroupTable:
         check_group_order(order, cap)
         return cyclic_group(order)
     ms = _read_structure(arg)
-    if any(e.bit_count() != 1 for row in ms.table for e in row):
+    if not is_group(ms):
         raise GroupError("range", "file structure is not univalent")
     check_group_order(ms.n, cap)
     return verify_group([[e.bit_length() - 1 for e in row] for row in ms.table], ms.names)

@@ -11,7 +11,6 @@ quotient of a partial univalent operation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -21,7 +20,6 @@ from .core import (
     Hypergroup,
     Multistructure,
     EquivalenceRelation,
-    as_multistructure,
     check_carrier_size,
     is_group,
     members,
@@ -33,6 +31,7 @@ from .groups import (
     DEFAULT_GROUP_CAP,
     GroupTable,
     Subgroup,
+    check_group_order,
     from_permutations,
     stabilizer_subgroup,
 )
@@ -159,11 +158,13 @@ def s_family_group_realization(sizes: Sequence[int],
     sizes = tuple(sizes)
     if s_family_class(sizes) is not SFamilyClass.DHypergroup:
         raise ValueError("only the all-equal-sizes tables are coset structures")
-    n = sizes[0]
-    b = len(sizes)
-    order = math.factorial(n) ** b * math.factorial(b)
-    if order > cap:
-        raise CapExceeded(f"realization order {order} exceeds cap {cap}")
+    n, b = sizes[0], len(sizes)
+    # the product stops once it passes cap, so a huge order is never formed
+    order, shown = 1, f"{n}!^{b}*{b}!"
+    blocks = itertools.chain.from_iterable(itertools.repeat(range(2, n + 1), b))
+    for factor in itertools.chain(blocks, range(2, b + 1)):
+        order *= factor
+        check_group_order(order, cap, shown)
     perms = []
     for blockperm in itertools.permutations(range(b)):
         for within in itertools.product(itertools.permutations(range(n)), repeat=b):
@@ -220,7 +221,7 @@ def utumi(data: UtumiInput) -> Multistructure:
     Always reproductive; associative exactly when class sums saturate
     (see utumi_is_associative).
     """
-    m, eq = as_multistructure(data.base), data.partition
+    m, eq = data.base, data.partition
     n = m.n
     rows = []
     for x in range(n):
@@ -247,7 +248,7 @@ def utumi_is_associative(data: UtumiInput) -> UtumiAssociativity:
     saturation of x + ybar. The first failing (x, least class member)
     in index order is the witness.
     """
-    m, eq = as_multistructure(data.base), data.partition
+    m, eq = data.base, data.partition
     for x in range(m.n):
         xbar = eq.class_mask(x)
         for cm in eq.class_masks:
@@ -266,7 +267,7 @@ def utumi_simplicity_criterion(data: UtumiInput) -> bool:
     equal to the whole carrier. Sufficient only: a derived structure can
     be simple without passing this test.
     """
-    m = as_multistructure(data.base)
+    m = data.base
     if not is_group(m):
         raise ValueError("criterion applies to a univalent base only")
     if not verify_axioms(m).associative:
@@ -287,7 +288,7 @@ def utumi_simplicity_criterion(data: UtumiInput) -> bool:
     return True
 
 
-def canonical_presentation(h, cap: int = DEFAULT_TRAME_CAP) -> Presentation:
+def canonical_presentation(h: Multistructure, cap: int = DEFAULT_TRAME_CAP) -> Presentation:
     """Exhibit any multistructure as a quotient of a partial operation.
 
     The carrier is H x H^3 with one composable pair per witness triple:
@@ -295,8 +296,7 @@ def canonical_presentation(h, cap: int = DEFAULT_TRAME_CAP) -> Presentation:
     t = (a,b,c) composes to (c,t). Collapsing the copies of each element
     gives back the original table exactly.
     """
-    m = as_multistructure(h)
-    n = m.n
+    n = h.n
     t_n = n * n ** 3
     if t_n > cap:
         raise CapExceeded(f"presentation carrier {t_n} exceeds cap {cap}")
@@ -309,11 +309,11 @@ def canonical_presentation(h, cap: int = DEFAULT_TRAME_CAP) -> Presentation:
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    names.append(f"{m.names[v]}|{m.names[a]},{m.names[b]},{m.names[c]}")
+                    names.append(f"{h.names[v]}|{h.names[a]},{h.names[b]},{h.names[c]}")
     op = {}
     for a in range(n):
         for b in range(n):
-            for c in members(m.table[a][b]):
+            for c in members(h.table[a][b]):
                 t3 = a * n * n + b * n + c
                 op[idx(a, t3), idx(b, t3)] = idx(c, t3)
     r = tuple(v for v in range(n) for _ in range(n ** 3))

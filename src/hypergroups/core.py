@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_ELEMENTS = 64  # mask-width contract for carriers
 
@@ -195,65 +195,48 @@ def verify_axioms(m: Multistructure) -> AxiomReport:
 
 
 @dataclass(frozen=True)
-class Hypergroup:
-    """A multistructure together with its verification certificate."""
+class Hypergroup(Multistructure):
+    """A multistructure that carries its verification certificate."""
 
-    m: Multistructure
     report: AxiomReport
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.report.is_hypergroup:
             raise NotAHypergroup(self.report)
 
     @classmethod
     def certify(cls, m: Multistructure) -> "Hypergroup":
-        return cls(m, verify_axioms(m))
+        return cls(m.names, m.table, verify_axioms(m))
 
     @property
-    def n(self) -> int:
-        return self.m.n
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.m.names
-
-    @property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        return self.m.table
-
-
-Structure = Union[Multistructure, Hypergroup]
-
-
-def as_multistructure(x: Structure) -> Multistructure:
-    return x.m if isinstance(x, Hypergroup) else x
+    def m(self) -> Multistructure:
+        """The plain table, without the report."""
+        return Multistructure(self.names, self.table)
 
 
 def opposite(m: Multistructure) -> Multistructure:
     """Transpose the operation: x.y in the opposite is y.x in m."""
-    m = as_multistructure(m)
     n = m.n
     rows = tuple(tuple(m.table[y][x] for y in range(n)) for x in range(n))
     return Multistructure(m.names, rows)
 
 
-def is_group(m: Structure) -> bool:
+def is_group(m: Multistructure) -> bool:
     """True when every product is a singleton (a univalent hypergroup).
 
     Only meaningful on structures that already pass verify_axioms.
     """
-    m = as_multistructure(m)
     return all(e.bit_count() == 1 for row in m.table for e in row)
 
 
-def power(h: Structure, x: int, k: int) -> int:
+def power(h: Multistructure, x: int, k: int) -> int:
     """Left-folded k-th power: x.x.....x with k factors, as a mask."""
-    m = as_multistructure(h)
     if k < 1:
         raise ValueError("power needs k >= 1")
     acc = 1 << x
     for _ in range(k - 1):
-        acc = product_of_sets(m, acc, 1 << x)
+        acc = product_of_sets(h, acc, 1 << x)
     return acc
 
 
@@ -266,8 +249,6 @@ class Mapping:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dom", as_multistructure(self.dom))
-        object.__setattr__(self, "cod", as_multistructure(self.cod))
         if len(self.image) != self.dom.n:
             raise ValueError("image must assign every domain element")
         if any(not (0 <= v < self.cod.n) for v in self.image):
@@ -348,7 +329,7 @@ def _element_invariant(m: Multistructure, x: int):
     return (row, col, diag.bit_count(), bool(diag >> x & 1))
 
 
-def find_isomorphism(a: Structure, b: Structure) -> Optional[tuple[int, ...]]:
+def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int, ...]]:
     """Search for a bijection g with g(x.y) = g(x).g(y), or None.
 
     Backtracking assigns domain elements in index order and tries codomain
@@ -357,8 +338,6 @@ def find_isomorphism(a: Structure, b: Structure) -> Optional[tuple[int, ...]]:
     invariants (sorted row/column product-size profiles, |x.x|, x in x.x)
     and by product-membership consistency over the assigned prefix.
     """
-    a = as_multistructure(a)
-    b = as_multistructure(b)
     n = a.n
     if n != b.n:
         return None
@@ -425,8 +404,7 @@ class CogroupReport:
         return self.blocks_partition and self.blocks_equipotent
 
 
-def cogroup_report(m: Structure) -> CogroupReport:
-    m = as_multistructure(m)
+def cogroup_report(m: Multistructure) -> CogroupReport:
     n, full = m.n, m.full_mask
     partition = True
     equipotent = True
@@ -451,7 +429,7 @@ def cogroup_report(m: Structure) -> CogroupReport:
     return CogroupReport(partition, equipotent, columns)
 
 
-def is_cogroup(h: Structure) -> bool:
+def is_cogroup(h: Multistructure) -> bool:
     """Every row family partitions the carrier into equal-size blocks."""
     return bool(cogroup_report(h))
 
@@ -589,16 +567,15 @@ def all_equivalences(n: int) -> Iterator[EquivalenceRelation]:
 # --- canonical JSON form ---------------------------------------------------
 
 
-def json_obj(m: Structure) -> dict:
+def json_obj(m: Multistructure) -> dict:
     """The canonical JSON form as a dict (see to_json)."""
-    m = as_multistructure(m)
     return {
         "elements": list(m.names),
         "table": [[[m.names[z] for z in members(e)] for e in row] for row in m.table],
     }
 
 
-def to_json(m: Structure) -> str:
+def to_json(m: Multistructure) -> str:
     """Canonical JSON: fixed key order, product entries in carrier order."""
     return json.dumps(json_obj(m), separators=(",", ":"))
 

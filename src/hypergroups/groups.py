@@ -243,7 +243,7 @@ def generated(g: GroupTable, gens: int) -> int:
     """Mask of the subgroup generated by the masked elements."""
     acc = 1 << g.identity
     frontier = acc
-    gs = members(gens | mask_of(g.inverse[x] for x in members(gens)))
+    gs = members(gens)  # finite: each inverse is a power of its element
     while frontier:
         new = 0
         for x in members(frontier):

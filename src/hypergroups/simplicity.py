@@ -73,7 +73,7 @@ def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
     the products of least members only. Classes are named after their
     least members, so the identity congruence reproduces h itself.
     """
-    if c.over is not h and c.over.m != h.m:
+    if c.over != h:
         raise ValueError("congruence was validated over a different hypergroup")
     reps = [(cm & -cm).bit_length() - 1 for cm in c.eq.class_masks]
     products = (((a, b), w) for a in reps for b in reps for w in members(h.table[a][b]))
@@ -111,7 +111,7 @@ def reflector_congruences(h: Hypergroup,
     if n > cap:
         raise CapExceeded(f"carrier size {n} exceeds simplicity cap {cap}")
     table = h.table
-    full = h.m.full_mask
+    full = h.full_mask
     sufrow, sufcol = _suffix_unions(table, n)
     labels = [0] * n
     out: list[ReflectorCongruence] = []

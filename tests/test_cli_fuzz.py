@@ -1,0 +1,202 @@
+"""The command line's exit-code contract, fuzzed in-process.
+
+Every verb, fed small valid and malformed inputs, returns 0, 1, 2 or 3,
+or stops in argparse with SystemExit(2); no other exception escapes.
+Inputs stay small (structures of at most 6 elements, trames of at most
+8, groups of degree or order at most 6) and caps stay at their defaults
+or lower, so nothing large is built.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from hypergroups import cli
+from hypergroups.constructions import s_family
+from hypergroups.core import from_json, members, to_json
+from hypergroups.groups import as_hypergroup, cyclic_group, symmetric_group
+
+NAMES = ("e", "a", "b", "c", "0", "1", "2", "3", "x,y", "012", "102", "|", "{")
+GARBAGE = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+KNOWN = [to_json(as_hypergroup(cyclic_group(k))) for k in range(1, 7)] + [
+    to_json(as_hypergroup(symmetric_group(3))),
+    to_json(s_family((3,))),
+    to_json(s_family((2, 2))),
+    to_json(s_family((3, 1))),
+]
+
+
+def mostly(valid):
+    """valid four times in five, garbage otherwise."""
+    return st.sampled_from([True] * 4 + [False]).flatmap(lambda ok: valid if ok else GARBAGE)
+
+
+SMALL_INT = mostly(st.integers(-1, 6).map(str))
+SIZES = st.lists(SMALL_INT, min_size=1, max_size=4)
+CAP_N = st.one_of(st.just([]), st.integers(-1, 12).map(lambda k: ["--cap-n", str(k)]))
+CAP_GROUP = st.one_of(st.just([]), st.integers(-1, 120).map(lambda k: ["--cap-group", str(k)]))
+
+
+@st.composite
+def random_structure(draw):
+    n = draw(st.integers(1, 6))
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=n, max_size=n, unique=True))
+    rows = draw(st.lists(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    table = [[[names[z] for z in members(e)] for e in row] for row in rows]
+    return json.dumps({"elements": names, "table": table})
+
+
+@st.composite
+def mutated(draw, texts):
+    """A valid text, or now and then one cut short, spliced with garbage
+    or replaced by it."""
+    text = draw(texts)
+    how = draw(st.sampled_from(["keep"] * 4 + ["cut", "splice", "garbage"]))
+    if how == "cut":
+        return text[:draw(st.integers(0, len(text)))]
+    if how == "splice":
+        i = draw(st.integers(0, len(text)))
+        return text[:i] + draw(GARBAGE) + text[i:]
+    return draw(GARBAGE) if how == "garbage" else text
+
+
+@st.composite
+def contents(draw, texts):
+    """File bytes: a mutated text, or now and then bytes that are not UTF-8."""
+    if draw(st.sampled_from([True] * 7 + [False])):
+        return draw(mutated(texts)).encode()
+    return b"\xff" + draw(st.binary(max_size=12))
+
+
+STRUCTURE = contents(st.one_of(st.sampled_from(KNOWN), random_structure()))
+
+
+@st.composite
+def partition(draw, names, alone=None):
+    """A mutated partition literal over names, with alone in a block of its own."""
+    blocks = {}
+    for name in names:
+        blocks.setdefault(0 if name == alone else draw(st.integers(1, 3)), []).append(name)
+    return draw(mutated(st.just("|".join("{" + ",".join(b) + "}" for b in blocks.values()))))
+
+
+@st.composite
+def trame_text(draw):
+    n = draw(st.integers(1, 8))
+    names = [f"t{i}" for i in range(n)]
+    index = st.integers(0, n - 1)
+    op = draw(st.dictionaries(st.tuples(index, index), index, max_size=16))
+    blocks = {}
+    for name in names:
+        blocks.setdefault(draw(index), []).append(name)
+    lines = ["elements: " + " ".join(names)]
+    lines += [f"compose: {names[u]} {names[v]} -> {names[w]}" for (u, v), w in op.items()]
+    lines.append("classes: " + " ".join("{" + " ".join(b) + "}" for b in blocks.values()))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def group_args(draw):
+    """(group, element names, subgroup, files): cyc:k or a file holding
+    Z/k with the multiples of some d, or sym:k with a point stabilizer;
+    now and then garbage in either place."""
+    k = draw(st.integers(-1, 6))
+    kind = draw(st.sampled_from(["cyc", "sym", "file"]))
+    names = [str(i) for i in range(k)]
+    files = {}
+    if kind == "sym":
+        group, sub = f"sym:{k}", f"stab:{draw(st.integers(-1, max(k, 0)))}"
+    else:
+        d = draw(st.integers(1, max(k, 1)))
+        group, sub = f"cyc:{k}", "{" + ",".join(names[::d]) + "}"
+        if kind == "file":
+            group = "group.json"
+            files[group] = draw(contents(st.just(to_json(as_hypergroup(cyclic_group(max(k, 1)))))))
+    return draw(mostly(st.just(group))), names, draw(mostly(st.just(sub))), files
+
+
+@st.composite
+def gen_coset(draw):
+    group, _, sub, files = draw(group_args())
+    side = draw(st.sampled_from([[], ["--side", "left"], ["--side", "up"]]))
+    return ["gen", "coset", group, sub, *side, *draw(CAP_GROUP)], files
+
+
+@st.composite
+def gen_utumi(draw):
+    group, names, _, files = draw(group_args())
+    zero = draw(st.sampled_from(["0", "1", "9"]))
+    return ["gen", "utumi", group, draw(partition(names, alone=zero)), zero], files
+
+
+@st.composite
+def simple_coset(draw):
+    group, _, sub, files = draw(group_args())
+    return ["simple-coset", group, sub, *draw(CAP_GROUP)], files
+
+
+@st.composite
+def trame(draw):
+    action = draw(st.sampled_from(["quotient", "adequate", "invariant"]))
+    s = draw(st.one_of(st.just([]), partition([f"t{i}" for i in range(8)]).map(
+        lambda lit: ["--s", lit])))
+    return ["trame", action, "a.trame", *s], {"a.trame": draw(contents(trame_text()))}
+
+
+def on_files(argv, *files, extra=st.just([])):
+    """argv followed by extra, reading a structure from each named file."""
+    return st.tuples(extra.map(lambda tail: [*argv, *tail]),
+                     st.fixed_dictionaries({f: STRUCTURE for f in files}))
+
+
+VERBS = {
+    "gen-sym-cyc-stab": st.tuples(st.sampled_from(["sym", "cyc", "stab"]).flatmap(
+        lambda kind: SMALL_INT.map(lambda k: ["gen", kind, k])), st.just({})),
+    "gen-s-family": st.tuples(SIZES.map(lambda sizes: ["gen", "s-family", *sizes]), st.just({})),
+    "gen-coset": gen_coset(),
+    "gen-utumi": gen_utumi(),
+    "gen-canon": on_files(["gen", "canon", "a.json"], "a.json"),
+    "gen-any-arity": st.tuples(st.tuples(st.sampled_from(sorted(cli._GEN_ARITY)),
+                                         st.lists(SMALL_INT, max_size=4)).map(
+        lambda ka: ["gen", ka[0], *ka[1]]), st.just({})),
+    "verify": on_files(["verify"], "a.json",
+                       extra=st.sampled_from([["a.json"], ["missing.json"]])),
+    "opposite": on_files(["opposite", "a.json"], "a.json"),
+    "iso": on_files(["iso", "a.json", "b.json"], "a.json", "b.json"),
+    "simple": on_files(["simple", "a.json"], "a.json", extra=CAP_N),
+    "reflets": on_files(["reflets", "a.json"], "a.json", extra=CAP_N),
+    "simple-coset": simple_coset(),
+    "classify-s": st.tuples(SIZES.map(lambda sizes: ["classify-s", *sizes]), st.just({})),
+    "trame": trame(),
+    "garbage": st.tuples(st.lists(GARBAGE, max_size=4), st.just({})),
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+@settings(max_examples=25, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_verb_exits_with_a_contract_code(workdir, verb, data):
+    argv, files = data.draw(VERBS[verb])
+    for name, content in files.items():
+        (workdir / name).write_bytes(content)
+    argv = [str(workdir / t) if t.endswith((".json", ".trame")) else t for t in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:  # argparse refuses the command line
+        assert e.code == 2, argv
+    else:
+        assert code in (0, 1, 2, 3), argv
+
+
+@settings(max_examples=40)
+@given(random_structure())
+def test_structure_json_roundtrip(text):
+    m = from_json(text)
+    assert from_json(to_json(m)) == m

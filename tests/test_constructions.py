@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -304,6 +305,21 @@ def test_realization_errors():
     # the cap triggers before any enumeration, so huge parameters return
     with pytest.raises(CapExceeded):
         s_family_group_realization((10, 10))
+
+
+def test_huge_realization_order_refused_at_once():
+    # (n!)^b * b! is multiplied factor by factor and stops once it passes
+    # the cap, so a huge order is never formed nor printed in full
+    for sizes, shown in [((2,) * 1500, "2!^1500*1500!"), ((3,) * 1000, "3!^1000*1000!"),
+                         ((3, 3, 3), "3!^3*3!")]:
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as e:
+            s_family_group_realization(sizes)
+        assert time.perf_counter() - start < 1
+        assert str(e.value) == f"group order {shown} exceeds cap 120"
+    assert s_family_group_realization((3, 3), cap=72)[0].n == 72
+    with pytest.raises(CapExceeded, match=r"group order 3!\^2\*2! exceeds cap 71"):
+        s_family_group_realization((3, 3), cap=71)
 
 
 # --- Utumi sums -----------------------------------------------------------------

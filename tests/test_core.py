@@ -14,7 +14,6 @@ from hypergroups.core import (
     NotAHypergroup,
     ParseError,
     all_equivalences,
-    as_multistructure,
     cogroup_report,
     find_isomorphism,
     from_json,
@@ -430,8 +429,53 @@ def test_json_strictness():
     assert m.table[0][0] == 0b11
 
 
-def test_as_multistructure_passthrough():
-    m = cyclic_ms(2)
+
+def test_hypergroup_is_a_multistructure(small_hypergroup_corpus):
+    # a certified hypergroup is its table plus the report: every reader
+    # of tables gives the same answer on h as on the plain table h.m
+    from hypergroups.constructions import (
+        UtumiInput, UtumiInputError, canonical_presentation, utumi, utumi_is_associative)
+    from hypergroups.core import json_obj
+    from hypergroups.simplicity import quotient_by, reflector_congruences
+    for h in small_hypergroup_corpus:
+        m = h.m
+        assert isinstance(h, Multistructure) and type(m) is Multistructure
+        assert verify_axioms(h) == h.report
+        assert m == Multistructure(h.names, h.table) and h != m
+        assert opposite(h) == opposite(m)
+        assert is_group(h) == is_group(m)
+        assert cogroup_report(h) == cogroup_report(m)
+        assert json_obj(h) == json_obj(m) and to_json(h) == to_json(m)
+        assert find_isomorphism(h, m) == find_isomorphism(m, m) \
+            == find_isomorphism(m, h) == find_isomorphism(h, h)
+        for x in range(h.n):
+            assert [power(h, x, k) for k in (1, 2, 3)] == [power(m, x, k) for k in (1, 2, 3)]
+            for ys in range(1 << h.n):
+                assert product_of_sets(h, 1 << x, ys) == product_of_sets(m, 1 << x, ys)
+        swap = tuple(reversed(range(h.n)))
+        assert is_morphism(Mapping(h, h, swap)) == is_morphism(Mapping(m, m, swap))
+        for c in reflector_congruences(h):
+            q = quotient_by(h, c)
+            f, g = Mapping(h, q, c.eq.class_of), Mapping(m, q.m, c.eq.class_of)
+            assert f.dom is h and f.cod is q and f != g
+            assert is_morphism(f) and is_morphism(g)
+            assert is_reflector(f) and is_reflector(g)
+        for eq in all_equivalences(h.n):
+            try:
+                on_h, on_m = UtumiInput(h, eq, 0), UtumiInput(m, eq, 0)
+            except UtumiInputError:
+                continue
+            assert utumi(on_h) == utumi(on_m)
+            assert utumi_is_associative(on_h) == utumi_is_associative(on_m)
+        p, pm = canonical_presentation(h), canonical_presentation(m)
+        assert (p.trame.names, p.trame.op, p.r) == (pm.trame.names, pm.trame.op, pm.r)
+
+
+def test_hypergroup_validates_its_table_and_report():
+    m = cyclic_ms(3)
     h = Hypergroup.certify(m)
-    assert as_multistructure(h) is m
-    assert as_multistructure(m) is m
+    assert Hypergroup.certify(h) == h and h.m == m and h.m is not m
+    with pytest.raises(ValueError, match="n x n"):
+        Hypergroup(m.names, m.table[:2], h.report)
+    with pytest.raises(NotAHypergroup):
+        Hypergroup(m.names, m.table, verify_axioms(opposite(s_family((3, 1)))))

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+import sys
 
 import hypergroups
 
@@ -46,3 +47,20 @@ def test_tracer_wrapped_names_exist():
                if not callable(getattr(importlib.import_module(f"hypergroups.{mod}"),
                                        name, None))]
     assert len(wrapped) == 6 and missing == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the runtime is stdlib-only (dependencies = []): every import is
+    # relative or names a top-level standard-library module
+    found = []
+    for name, tree in library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}:{top}" for top in tops
+                      if top not in sys.stdlib_module_names]
+    assert found == []
