@@ -24,6 +24,7 @@ from .core import (
     is_group,
     members,
     product_of_sets,
+    products,
     quotient_table,
     verify_axioms,
 )
@@ -49,9 +50,9 @@ def _coset_structure(g: GroupTable, h: Subgroup, side: str) -> Hypergroup:
     if h.parent is not g:
         raise ValueError("subgroup belongs to a different group")
     form = "{}H" if side == "right" else "H{}"
-    products = (((x, y), w) for x, row in enumerate(g.table) for y, w in enumerate(row))
+    triples = (((x, y), w) for x, row in enumerate(g.table) for y, w in enumerate(row))
     return Hypergroup.certify(quotient_table(tuple(form.format(s) for s in g.names),
-                                             products, coset_relation(g, h.mask, side)))
+                                             triples, coset_relation(g, h.mask, side)))
 
 
 def right_coset_hypergroup(g: GroupTable, h: Subgroup) -> Hypergroup:
@@ -311,10 +312,8 @@ def canonical_presentation(h: Multistructure, cap: int = DEFAULT_TRAME_CAP) -> P
                 for c in range(n):
                     names.append(f"{h.names[v]}|{h.names[a]},{h.names[b]},{h.names[c]}")
     op = {}
-    for a in range(n):
-        for b in range(n):
-            for c in members(h.table[a][b]):
-                t3 = a * n * n + b * n + c
-                op[idx(a, t3), idx(b, t3)] = idx(c, t3)
+    for (a, b), c in products(h):
+        t3 = a * n * n + b * n + c
+        op[idx(a, t3), idx(b, t3)] = idx(c, t3)
     r = tuple(v for v in range(n) for _ in range(n ** 3))
     return Presentation(Trame(tuple(names), op), r)

@@ -8,6 +8,7 @@ display labels only and never affect semantics.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -282,30 +283,39 @@ def is_morphism(f: Mapping) -> bool:
     return True
 
 
-def saturation_identity(rows: Iterable[Sequence[int]], cols: Iterable[Sequence[int]],
-                        class_of: Sequence[int]) -> bool:
-    """sat(x.y) = x.[y] = [x].y at every pair, for a table given by its rows
-    and its columns as masks over the carrier that class_of labels.
+def products(m: Multistructure) -> Iterator[tuple[tuple[int, int], int]]:
+    """The table as product triples ((x, y), w), one per w in x.y, row-major."""
+    return (((x, y), w) for x, row in enumerate(m.table)
+            for y, e in enumerate(row) for w in members(e))
 
-    sat closes a subset under the classes. Rows check sat(x.y) against
-    the row union over the class of y, columns against the column union
-    over the class of x. Masks are plain ints, so the carrier may exceed
-    64 elements.
+
+def saturation_identity(prods: Iterable[tuple[tuple[int, int], int]],
+                        class_of: Sequence[int]) -> bool:
+    """sat(x.y) = x.[y] = [x].y at every pair, for the table whose product
+    triples ((x, y), w) are prods, over the carrier that class_of labels.
+
+    sat closes a subset under the classes; a pair with no triple has an
+    empty product. For each row x and class C of columns, the products
+    x.y with y in C are all empty, or all non-empty, meeting the same
+    classes and together filling exactly those classes; likewise for
+    each column against the classes of rows. Sets, not masks: the
+    carrier may have any width, and the work grows with the triples.
     """
-    masks = [0] * (max(class_of) + 1)
-    for i, lab in enumerate(class_of):
-        masks[lab] |= 1 << i
-    sat = {0: 0}
-    for lines in (rows, cols):
-        for line in lines:
-            union = [0] * len(masks)
-            for y, e in enumerate(line):
-                union[class_of[y]] |= e
-            for y, e in enumerate(line):
-                if e not in sat:  # the classes are disjoint: sum is union
-                    sat[e] = sum(cm for cm in masks if cm & e)
-                if union[class_of[y]] != sat[e]:
-                    return False
+    size = Counter(class_of)
+    cells: dict[tuple[int, int], set[int]] = {}
+    for xy, w in prods:
+        cells.setdefault(xy, set()).add(w)
+    for side in (0, 1):
+        lines: dict[tuple[int, int], list[set[int]]] = {}
+        for xy, ws in cells.items():
+            lines.setdefault((xy[side], class_of[xy[1 - side]]), []).append(ws)
+        for (_, c), sets in lines.items():
+            if len(sets) != size[c]:
+                return False
+            met = {class_of[w] for w in sets[0]}
+            if (any({class_of[w] for w in ws} != met for ws in sets)
+                    or len(set().union(*sets)) != sum(size[k] for k in met)):
+                return False
     return True
 
 
@@ -319,7 +329,7 @@ def is_reflector(f: Mapping) -> bool:
     """
     dom = f.dom
     return (f.surjective and is_morphism(f)
-            and saturation_identity(dom.table, zip(*dom.table), f.image))
+            and saturation_identity(products(dom), f.image))
 
 
 def _element_invariant(m: Multistructure, x: int):

@@ -265,7 +265,7 @@ def overgroups(g: GroupTable, hmask: int,
     right coset Kx gives the same <K, x>, so one x per coset is tried.
     """
     check_group_order(g.n, cap)
-    found = {Subgroup(g, hmask).mask}
+    found = {Subgroup(g, hmask).mask: hmask}  # subgroup -> generators of it
     todo = [hmask]
     while todo:
         km = todo.pop()
@@ -273,9 +273,10 @@ def overgroups(g: GroupTable, hmask: int,
         while rest:
             x = (rest & -rest).bit_length() - 1
             rest &= ~set_mult(g, km, 1 << x)
-            ext = generated(g, km | 1 << x)
+            gens = found[km] | 1 << x
+            ext = generated(g, gens)
             if ext not in found:
-                found.add(ext)
+                found[ext] = gens
                 todo.append(ext)
     return tuple(Subgroup(g, m) for m in sorted(found, key=lambda m: (m.bit_count(), m)))
 

@@ -6,9 +6,9 @@ an equivalence R produces a multivalued table: a class Z lies in X.Y when
 some composable pair (u, v) with u in X, v in Y has u.v in Z.
 
 Adequacy is the pair of conditions under which that quotient satisfies
-the hypergroup axioms, and invariance of a coarser equivalence is the
-saturation identity of its classes on the quotient; both are decided on
-the quotient's table.
+the hypergroup axioms, decided on the quotient's table; invariance of a
+coarser equivalence is the saturation identity of its classes, decided
+on the quotient's product triples.
 """
 
 from __future__ import annotations
@@ -168,16 +168,8 @@ def is_invariant_modulo_equiv(t: Trame, r: tuple[int, ...],
         if image.setdefault(lab, s[i]) != s[i]:
             return False
 
-    kr = max(r) + 1
-    rows: list[dict[int, int]] = [{} for _ in range(kr)]
-    for (u, v), w in t.op.items():
-        row = rows[r[u]]
-        row[r[v]] = row.get(r[v], 0) | 1 << r[w]
-    # the R-quotient's rows and columns, one at a time: masks of any
-    # width, so R may have more than 64 classes
-    return saturation_identity(([row.get(c, 0) for c in range(kr)] for row in rows),
-                               ([row.get(c, 0) for row in rows] for c in range(kr)),
-                               [image[lab] for lab in range(kr)])
+    return saturation_identity((((r[u], r[v]), r[w]) for (u, v), w in t.op.items()),
+                               [image[lab] for lab in range(len(image))])
 
 
 def reflect(p: Presentation, s: tuple[int, ...]) -> Hypergroup:

@@ -19,7 +19,7 @@ from .core import (
     EquivalenceRelation,
     Hypergroup,
     find_isomorphism,
-    members,
+    products,
     quotient_table,
     saturation_identity,
 )
@@ -44,7 +44,7 @@ def is_reflector_congruence(h: Hypergroup, eq: EquivalenceRelation) -> bool:
     """
     if eq.n != h.n:
         raise ValueError("relation carrier differs from hypergroup carrier")
-    return saturation_identity(h.table, zip(*h.table), eq.class_of)
+    return saturation_identity(products(h), eq.class_of)
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,13 @@ class ReflectorCongruence:
 def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
     """The reflet: classes, with [x].[y] = classes meeting x.y.
 
-    Any representatives give the same class set, so the table reads off
-    the products of least members only. Classes are named after their
+    Under a reflector congruence any representatives give the same class
+    set, so every product may be read. Classes are named after their
     least members, so the identity congruence reproduces h itself.
     """
     if c.over != h:
         raise ValueError("congruence was validated over a different hypergroup")
-    reps = [(cm & -cm).bit_length() - 1 for cm in c.eq.class_masks]
-    products = (((a, b), w) for a in reps for b in reps for w in members(h.table[a][b]))
-    return Hypergroup.certify(quotient_table(h.names, products, c.eq.class_of))
+    return Hypergroup.certify(quotient_table(h.names, products(h), c.eq.class_of))
 
 
 def _suffix_unions(table, n):

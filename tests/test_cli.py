@@ -320,6 +320,21 @@ def test_trame_invariant_above_64_classes(tmp_path):
     assert r.returncode == 1 and r.stdout == '{"invariant":false}\n', r.stderr
 
 
+def test_trame_invariant_grows_with_the_pairs_not_the_classes(tmp_path):
+    # 10,000 idempotents t.t = t, one class each: 10,000 composable pairs
+    # over 10^8 class pairs; the --s literal stays under the 128 KB limit
+    # Linux puts on one argument
+    n = 10_000
+    t = Trame(tuple(f"t{i}" for i in range(n)), {(i, i): i for i in range(n)})
+    path = tmp_path / "idem.trame"
+    path.write_text(format_trame(t, tuple(range(n))))
+    singletons = "|".join(f"{{t{i}}}" for i in range(n))
+    r = subprocess.run([sys.executable, "-m", "hypergroups", "trame", "invariant",
+                        str(path), "--s", singletons],
+                       capture_output=True, text=True, timeout=20)
+    assert r.returncode == 0 and r.stdout == '{"invariant":true}\n', r.stderr
+
+
 def test_trame_invariant_names_with_commas(tmp_path):
     # the canonical presentation of C2 names its elements v|a,b,c: blocks
     # split only on a '|' outside braces, names inside on whitespace
@@ -359,6 +374,7 @@ def test_caps_refuse_before_building(monkeypatch, capsys):
         (["gen", "s-family", "40", "30"], "carrier size 70 exceeds mask width 64"),
         (["gen", "stab", "65"], "carrier size 65 exceeds mask width 64"),
         (["classify-s", "3", "62"], "carrier size 65 exceeds mask width 64"),
+        (["gen", "cyc", "60", "--cap-group", "50"], "group order 60 exceeds cap 50"),
     ]
     for argv, message in cases:
         assert cli.main(argv) == 3, argv

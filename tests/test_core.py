@@ -26,6 +26,8 @@ from hypergroups.core import (
     opposite,
     power,
     product_of_sets,
+    products,
+    quotient_table,
     to_json,
     verify_axioms,
 )
@@ -172,6 +174,13 @@ def test_certify_raises_with_report():
     with pytest.raises(NotAHypergroup) as ei:
         Hypergroup.certify(bad)
     assert ei.value.report.empty_witness == (0, 1)
+
+
+def test_products_lists_triples_row_major():
+    m = Multistructure(("a", "b"), ((0b11, 0), (0b10, 0b01)))
+    assert list(products(m)) == [((0, 0), 0), ((0, 0), 1), ((1, 0), 1), ((1, 1), 0)]
+    c = cyclic_ms(5)
+    assert quotient_table(c.names, products(c), tuple(range(5))) == c
 
 
 def test_is_group_and_power():
