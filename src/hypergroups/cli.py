@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Container, Optional, Sequence
 
@@ -87,52 +88,71 @@ def _read_hypergroup(path: str, cap_n: int) -> Hypergroup:
     return Hypergroup.certify(m)
 
 
-def _parse_brace_list(token: str, known: Container[str]) -> list[str]:
-    """Names in a brace list like {a,b} or {a b}.
+# A '}' after a name ends its block: a hard end when '{' follows it, or
+# '|' or the end of the text after any whitespace; a soft end when other
+# whitespace follows. A known name may hold a soft end, never a hard one.
+_CLOSE = re.compile(r"\}(?=[\s{|]|\Z)")
+_WORDS = (re.compile(r"(?:[^\s}]|\}(?!\{|\s*(?:\||\Z)))*"),  # up to whitespace or a hard end
+          re.compile(r"(?:[^\s}]|\}(?![\s{|]|\Z))*"))  # up to whitespace or any end
+_PARTS = (re.compile(r"(?:[^\s,}]|\}(?!\{|\s*(?:\||\Z)))*"),  # the same, also up to a comma
+          re.compile(r"(?:[^\s,}]|\}(?![\s{|]|\Z))*"))
+_BETWEEN_BLOCKS, _SPACE = re.compile(r"[\s|]*"), re.compile(r"\s*")
 
-    Entries are separated by whitespace; an entry that is not a known
-    name is split on commas, so names that hold commas stay whole.
+
+def _read_blocks(text: str, known: Container[str]) -> list[list[str]]:
+    """The blocks of a literal like {0}|{1,4,7} {2 3 5 6}, each a list of names.
+
+    Blocks are {...} groups separated by whitespace and/or '|'. Inside a
+    block, words are separated by whitespace and the names in a word by
+    commas, but a word, or a comma-separated part of one, that is a known
+    name is taken whole. A block ends at a '}' followed by '{', by '|' or
+    the end of the text after any whitespace, or by other whitespace
+    outside such a name. So names may hold commas, braces and '|'.
     """
-    token = token.strip()
-    if not (token.startswith("{") and token.endswith("}")):
-        raise ParseError(f"expected a brace list like {{a,b}}, got {token!r}")
-    inner = token[1:-1].strip()
-    if not inner:
-        raise ParseError("empty brace list")
-    parts = []
-    for entry in inner.split():
-        parts += [entry] if entry in known else [p for p in entry.split(",") if p]
-    return parts
-
-
-def _split_blocks(literal: str) -> list[str]:
-    """Split a partition literal on the '|' characters outside braces."""
-    chunks, start, inside = [], 0, False
-    for i, ch in enumerate(literal):
-        if ch in "{}":
-            inside = ch == "{"
-        elif ch == "|" and not inside:
-            chunks.append(literal[start:i])
-            start = i + 1
-    chunks.append(literal[start:])
-    return chunks
-
-
-def _parse_partition(literal: str, names: Sequence[str]) -> EquivalenceRelation:
-    """Blocks like {0}|{1,4,7}|{2,3,5,6} over element names."""
-    index = {s: i for i, s in enumerate(names)}
-    blocks = []
-    for chunk in _split_blocks(literal):
-        block = []
-        for name in _parse_brace_list(chunk, index):
-            if name not in index:
-                raise ParseError(f"unknown element name {name!r} in partition")
-            block.append(index[name])
+    blocks, pos = [], _BETWEEN_BLOCKS.match(text).end()
+    while pos < len(text):
+        if text[pos] != "{":
+            raise ParseError(f"expected a block like {{a,b}} at {text[pos:pos + 30]!r}")
+        block, pos, closed, word = [], pos + 1, False, True
+        while not closed:
+            gap = _SPACE.match(text, pos).end()
+            word, pos = word or gap > pos, gap  # at the start of a word?
+            if pos == len(text):
+                raise ParseError("unterminated block")
+            # the first known candidate, else the last: an unknown name, or none
+            for pat in _WORDS + _PARTS if word else _PARTS:
+                name = pat.match(text, pos)[0]
+                if name in known:
+                    break
+            if name:
+                block.append(name)
+            pos += len(name)
+            closed = _CLOSE.match(text, pos) is not None
+            pos += closed or text.startswith(",", pos)
+            word = False
+        if not block:
+            raise ParseError("empty block")
         blocks.append(block)
-    try:
-        return EquivalenceRelation.from_blocks(len(names), blocks)
-    except ValueError as e:
-        raise ParseError(f"bad partition: {e}") from None
+        pos = _BETWEEN_BLOCKS.match(text, pos).end()
+    return blocks
+
+
+def _parse_partition(text: str, names: Sequence[str], noun: str = "blocks") -> tuple[int, ...]:
+    """Restricted-growth labels of the partition of names that text writes
+    in blocks; noun is what the missing-element message calls the blocks."""
+    index = {s: i for i, s in enumerate(names)}
+    labels = [-1] * len(names)
+    for b, block in enumerate(_read_blocks(text, index)):
+        for s in block:
+            if s not in index:
+                raise ParseError(f"unknown element name {s!r} in partition")
+            if labels[index[s]] != -1:
+                raise ParseError(f"element {s!r} in two blocks")
+            labels[index[s]] = b
+    missing = [names[i] for i, lab in enumerate(labels) if lab == -1]
+    if missing:
+        raise ParseError(f"partition elements missing from {noun}: " + " ".join(missing))
+    return restricted_growth(labels)
 
 
 def _load_group(arg: str, cap: int) -> GroupTable:
@@ -155,12 +175,13 @@ def _load_subgroup(g: GroupTable, arg: str) -> Subgroup:
     if arg.startswith("stab:"):
         return stabilizer_subgroup(g, int(arg[5:]))
     index = {s: i for i, s in enumerate(g.names)}
-    elems = []
-    for name in _parse_brace_list(arg, index):
+    blocks = _read_blocks(arg, index)
+    if len(blocks) != 1:
+        raise ParseError(f"a subgroup is one block like {{a,b}}, got {len(blocks)}")
+    for name in blocks[0]:
         if name not in index:
             raise ParseError(f"unknown group element {name!r}")
-        elems.append(index[name])
-    return Subgroup(g, mask_of(elems))
+    return Subgroup(g, mask_of(index[name] for name in blocks[0]))
 
 
 # --- trame DSL ---------------------------------------------------------------
@@ -173,14 +194,16 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
     compose: a b -> c
     classes: {a b} {c}
 
-    Blank lines and lines starting with # are skipped. The classes line
-    defines the presentation's equivalence; like the elements line it
-    separates names by whitespace only, so names may hold commas.
+    Blank lines and lines starting with # are skipped. The elements line
+    separates names by whitespace. The classes line defines the
+    presentation's equivalence in the one partition syntax that --s and
+    gen utumi read (see _read_blocks): blocks separated by whitespace
+    and/or '|', names inside a block by whitespace or commas.
     """
     names: Optional[list[str]] = None
     index: dict[str, int] = {}
     op: dict[tuple[int, int], int] = {}
-    labels: Optional[list[int]] = None
+    labels: Optional[tuple[int, ...]] = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -218,38 +241,17 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
                 raise ParseError(f"line {ln}: classes before elements")
             if labels is not None:
                 raise ParseError(f"line {ln}: duplicate classes line")
-            body = line[len("classes:"):].strip()
-            labels = [-1] * len(names)
-            block_no = 0
-            pos = 0
-            while pos < len(body):
-                if body[pos].isspace():
-                    pos += 1
-                    continue
-                if body[pos] != "{":
-                    raise ParseError(f"line {ln}: expected '{{' in classes")
-                end = body.find("}", pos)
-                if end == -1:
-                    raise ParseError(f"line {ln}: unterminated block")
-                for s in body[pos + 1:end].split():
-                    if s not in index:
-                        raise ParseError(f"line {ln}: unknown element name {s!r}")
-                    if labels[index[s]] != -1:
-                        raise ParseError(f"line {ln}: element {s!r} in two blocks")
-                    labels[index[s]] = block_no
-                block_no += 1
-                pos = end + 1
-            missing = [names[i] for i, lab in enumerate(labels) if lab == -1]
-            if missing:
-                raise ParseError(f"line {ln}: elements missing from classes: "
-                                 + " ".join(missing))
+            try:
+                labels = _parse_partition(line[len("classes:"):], names, "classes")
+            except ParseError as e:
+                raise ParseError(f"line {ln}: {e}") from None
         else:
             raise ParseError(f"line {ln}: unrecognized line {line.split(':')[0]!r}")
     if names is None:
         raise ParseError("no elements line")
     if labels is None:
         raise ParseError("no classes line")
-    return Trame(tuple(names), op), restricted_growth(labels)
+    return Trame(tuple(names), op), labels
 
 
 def format_trame(t: Trame, r: Sequence[int]) -> str:
@@ -281,15 +283,10 @@ def _cmd_gen(args) -> int:
     kind, arity, given = args.kind, _GEN_ARITY[args.kind], len(args.args)
     if arity is not None and given != arity:
         raise ParseError(f"gen {kind} takes {arity} argument{'s' * (arity > 1)}, got {given}")
-    if kind == "sym":
-        degree = int(args.args[0])
-        check_carrier_size(symmetric_group_order(degree, args.cap_group))
-        m = as_hypergroup(symmetric_group(degree, args.cap_group))
-    elif kind == "cyc":
-        order = int(args.args[0])
-        check_carrier_size(order)
-        check_group_order(order, args.cap_group)
-        m = as_hypergroup(cyclic_group(order))
+    if kind in ("sym", "cyc"):
+        k = int(args.args[0])
+        check_carrier_size(symmetric_group_order(k, args.cap_group) if kind == "sym" else k)
+        m = as_hypergroup(_load_group(f"{kind}:{k}", args.cap_group))
     elif kind == "stab":
         m = stabilizer_hypergroup(int(args.args[0]))
     elif kind == "coset":
@@ -302,7 +299,7 @@ def _cmd_gen(args) -> int:
     elif kind == "utumi":
         g = _load_group(args.args[0], args.cap_group)
         base = as_hypergroup(g)
-        part = _parse_partition(args.args[1], g.names)
+        part = EquivalenceRelation(_parse_partition(args.args[1], g.names))
         zname = args.args[2]
         if zname not in g.names:
             raise ParseError(f"unknown zero element {zname!r}")
@@ -411,8 +408,7 @@ def _cmd_trame(args) -> int:
     # args.action == "invariant", the last of its choices
     if args.s is None:
         raise ParseError("trame invariant needs --s CLASSES")
-    part = _parse_partition(args.s, t.names)
-    ok = is_invariant_modulo_equiv(t, r, tuple(part.class_of))
+    ok = is_invariant_modulo_equiv(t, r, _parse_partition(args.s, t.names))
     _emit({"invariant": ok})
     return 0 if ok else 1
 
@@ -429,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     cap_trame.add_argument("--cap-trame", type=int, default=DEFAULT_TRAME_CAP,
                            help="trame carrier cap (default 65536)")
 
+    # @FILE reads further arguments from FILE, one a line
     ap = argparse.ArgumentParser(
-        prog="hypergroups",
+        prog="hypergroups", fromfile_prefix_chars="@",
         description="finite hypergroups: generators, verifiers, simplicity deciders")
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -446,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simple", parents=[cap_n], help="decide simplicity by search")
     s.add_argument("file")
-    s.add_argument("--method", choices=["brute"], default="brute")
     s.set_defaults(fn=_cmd_simple)
 
     sc = sub.add_parser("simple-coset", parents=[cap_group],

@@ -262,7 +262,8 @@ def overgroups(g: GroupTable, hmask: int,
 
     Cyclic extension from H (Neubüser's method): each subgroup above H is
     <K, x> for a smaller one K in the interval, and every element of the
-    right coset Kx gives the same <K, x>, so one x per coset is tried.
+    coset Kx (a left coset, as coset_mask names sides) gives the same
+    <K, x>, so one x per coset is tried.
     """
     check_group_order(g.n, cap)
     found = {Subgroup(g, hmask).mask: hmask}  # subgroup -> generators of it

@@ -41,8 +41,8 @@ class Trame:
 
     op maps composable pairs (u, v) to their single product; pairs absent
     from op are not composable. Carriers here may exceed the mask width
-    used for multistructures, so sets of trame elements are frozensets,
-    not masks.
+    used for multistructures, so relations on trame elements are label
+    tuples, never masks.
     """
 
     names: tuple[str, ...]

@@ -85,7 +85,7 @@ def test_01a_utumi_cogroup_simple_by_search(tmp_path):
     path.write_text(gen.stdout)
     ver = run_cli("verify", str(path))
     t0 = time.monotonic()
-    simp = run_cli("simple", str(path), "--method", "brute")
+    simp = run_cli("simple", str(path))
     elapsed = time.monotonic() - t0
     verdict = json.loads(simp.stdout)
     B = {2, 3, 5, 6}

@@ -8,7 +8,7 @@ import pytest
 
 from hypergroups.cli import format_trame, parse_trame
 from hypergroups.constructions import canonical_presentation, s_family
-from hypergroups.core import to_json
+from hypergroups.core import Multistructure, restricted_growth, to_json
 from hypergroups.groups import Subgroup, as_hypergroup, cyclic_group, symmetric_group
 from hypergroups.presentations import Trame, coset_relation, group_trame
 from hypergroups.simplicity import SimplicityReport
@@ -355,6 +355,82 @@ def test_trame_invariant_names_with_commas(tmp_path):
         assert r.stdout == ('{"invariant":true}\n' if code == 0 else '{"invariant":false}\n')
     r = run_cli("trame", "invariant", str(path), "--s", "{0|0,0,0}|{1|0,0,0}")
     assert r.returncode == 2 and "missing from blocks" in r.stderr
+
+
+def test_trame_invariant_reads_s_from_a_file(tmp_path):
+    # 20,000 singleton blocks make a literal over the 128 KB limit Linux
+    # puts on one argument; @FILE passes it one argument a line
+    n = 20_000
+    t = Trame(tuple(f"t{i}" for i in range(n)), {(i, i): i for i in range(n)})
+    path = tmp_path / "idem.trame"
+    path.write_text(format_trame(t, tuple(range(n))))
+    args = tmp_path / "s.args"
+    args.write_text("--s\n" + "|".join(f"{{t{i}}}" for i in range(n)) + "\n")
+    r = subprocess.run([sys.executable, "-m", "hypergroups", "trame", "invariant",
+                        str(path), f"@{args}"],
+                       capture_output=True, text=True, timeout=20)
+    assert r.returncode == 0 and r.stdout == '{"invariant":true}\n', r.stderr
+
+
+# element names holding commas and '|', as in canonical presentations, and braces
+GRAMMAR_NAMES = ("e", "0|0,0,0", "1|0,0,1", "p", "q", "r", "x|y", "{x}")
+
+
+def _three_writings(blocks):
+    """A partition as a classes line writes it, as a '|'-joined comma
+    literal and as whitespace-separated blocks with commas inside; a name
+    holding a comma stands as its own word."""
+    def commas(block):
+        return ",".join(f" {s} " if "," in s else s for s in block)
+    return (" ".join("{" + " ".join(b) + "}" for b in blocks),
+            "|".join("{" + commas(b) + "}" for b in blocks),
+            "  ".join("{" + commas(b) + "}" for b in blocks))
+
+
+def test_one_partition_grammar(tmp_path, monkeypatch, capsys):
+    import hypergroups.cli as cli
+    names = GRAMMAR_NAMES
+    group = tmp_path / "g8.json"
+    group.write_text(to_json(Multistructure(names, as_hypergroup(cyclic_group(8)).table)))
+    trame = tmp_path / "g8.trame"
+    trame.write_text(format_trame(Trame(names, {}), (0,) * 8))
+    seen = []
+    monkeypatch.setattr(cli, "is_invariant_modulo_equiv", lambda t, r, s: not seen.append(s))
+    rng = random.Random(10)
+    for _ in range(20):
+        labels = [0] + [rng.randint(1, 7) for _ in range(7)]  # e alone: the utumi zero
+        want = restricted_growth(labels)
+        blocks = [[s for s, lab in zip(names, labels) if lab == b] for b in set(labels)]
+        rng.shuffle(blocks)
+        for b in blocks:
+            rng.shuffle(b)
+        for text in _three_writings(blocks):
+            assert parse_trame(f"elements: {' '.join(names)}\nclasses: {text}\n")[1] == want
+            assert cli.main(["trame", "invariant", str(trame), "--s", text]) == 0
+            assert seen.pop() == want, text
+            assert cli.main(["gen", "utumi", str(group), text, "e"]) == 0
+            out = capsys.readouterr().out.splitlines()
+            # e.y = e + class(y) = class(y)
+            assert restricted_growth(map(tuple, json.loads(out[1])["table"][0])) == want, text
+
+
+def test_partition_written_either_way(tmp_path, capsys):
+    import hypergroups.cli as cli
+    pair = "elements: p q r s\ncompose: p p -> p\ncompose: p q -> r\n" \
+           "compose: q p -> q\ncompose: r r -> s\n"
+    path = tmp_path / "pair.trame"
+    path.write_text(pair + "classes: {p q} {r s}\n")
+    assert cli.main(["trame", "invariant", "--s", "{p q} {r s}", str(path)]) == 0
+    assert capsys.readouterr().out == '{"invariant":true}\n'
+    assert parse_trame(pair + "classes: {p,q}|{r,s}\n")[1] == (0, 0, 1, 1)
+
+
+def test_simple_has_no_method_option(capsys):
+    import hypergroups.cli as cli
+    with pytest.raises(SystemExit) as e:
+        cli.build_parser().parse_args(["simple", "f", "--method", "brute"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --method brute" in capsys.readouterr().err
 
 
 def test_caps_refuse_before_building(monkeypatch, capsys):
