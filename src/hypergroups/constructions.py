@@ -11,7 +11,6 @@ quotient of a partial univalent operation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -20,6 +19,7 @@ from .core import (
     Hypergroup,
     Multistructure,
     EquivalenceRelation,
+    Frozen,
     check_carrier_size,
     is_group,
     members,
@@ -184,8 +184,7 @@ class UtumiInputError(ValueError):
     """The base structure, partition and zero fail a compatibility clause."""
 
 
-@dataclass(frozen=True)
-class UtumiInput:
+class UtumiInput(Frozen):
     """Data for the sum x.y = x + (class of y).
 
     base: hypergroup written additively. partition: equivalence on the
@@ -194,12 +193,13 @@ class UtumiInput:
     inside the class of x.
     """
 
-    base: Hypergroup
-    partition: EquivalenceRelation
-    zero: int
+    __slots__ = _fields = ("base", "partition", "zero")
 
-    def __post_init__(self):
-        h, eq, z = self.base, self.partition, self.zero
+    def __init__(self, base: Hypergroup, partition: EquivalenceRelation, zero: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "zero", zero)
+        h, eq, z = base, partition, zero
         if eq.n != h.n:
             raise UtumiInputError("partition carrier differs from base carrier")
         if not (0 <= z < h.n):
@@ -214,6 +214,15 @@ class UtumiInput:
                 raise UtumiInputError("0 + x must contain x")
             if zx & ~eq.class_mask(x):
                 raise UtumiInputError("0 + x must stay inside the class of x")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.base, self.partition, self.zero)
+                == (other.base, other.partition, other.zero))
+
+    def __hash__(self):
+        return hash((self.base, self.partition, self.zero))
 
 
 def utumi(data: UtumiInput) -> Multistructure:
@@ -233,10 +242,22 @@ def utumi(data: UtumiInput) -> Multistructure:
     return Multistructure(m.names, tuple(rows))
 
 
-@dataclass(frozen=True)
-class UtumiAssociativity:
-    associative: bool
-    witness: Optional[tuple[int, int]] = None  # (x, class representative)
+class UtumiAssociativity(Frozen):
+    """associative, and when it fails the witness (x, class representative)."""
+
+    __slots__ = _fields = ("associative", "witness")
+
+    def __init__(self, associative: bool, witness: Optional[tuple[int, int]] = None):
+        object.__setattr__(self, "associative", associative)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.associative, self.witness) == (other.associative, other.witness)
+
+    def __hash__(self):
+        return hash((self.associative, self.witness))
 
     def __bool__(self) -> bool:
         return self.associative

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_ELEMENTS = 64  # mask-width contract for carriers
@@ -37,6 +36,35 @@ class NotAHypergroup(ValueError):
         super().__init__(f"axioms fail: {report.summary()}")
 
 
+class Frozen:
+    """Base of the library's immutable types.
+
+    A subclass names its fields in __slots__ and sets each one once in
+    __init__ with object.__setattr__; assigning or deleting a field
+    afterwards raises AttributeError. _fields are the parameters of
+    __init__, in order: repr shows them as Name(field=value, ...), and
+    copy and pickle rebuild an instance from them. A value type writes
+    __eq__ and __hash__ over its fields; without them instances compare
+    by identity.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -53,30 +81,38 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Multistructure:
+class Multistructure(Frozen):
     """A finite set with a multivalued binary operation.
 
     table[x][y] is the bit mask of the product x.y; empty products are 0.
     """
 
-    names: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("names", "table")
 
-    def __post_init__(self):
-        n = len(self.names)
+    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "table", table)
+        n = len(names)
         if n < 1:
             raise ValueError("carrier must be non-empty")
         check_carrier_size(n)
-        if len(set(self.names)) != n or any(not s for s in self.names):
+        if len(set(names)) != n or any(not s for s in names):
             raise ValueError("element names must be unique non-empty strings")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("table must be n x n")
         top = 1 << n
-        for row in self.table:
+        for row in table:
             for e in row:
                 if not (0 <= e < top):
                     raise ValueError("table entry out of range for carrier")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names, self.table) == (other.names, other.table)
+
+    def __hash__(self):
+        return hash((self.names, self.table))
 
     @property
     def n(self) -> int:
@@ -98,14 +134,32 @@ def product_of_sets(m: Multistructure, xmask: int, ymask: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    associative: bool
-    reproductive: bool
-    all_products_nonempty: bool
-    assoc_witness: Optional[tuple[int, int, int]] = None
-    repro_witness: Optional[int] = None
-    empty_witness: Optional[tuple[int, int]] = None
+class AxiomReport(Frozen):
+    __slots__ = _fields = ("associative", "reproductive", "all_products_nonempty",
+                           "assoc_witness", "repro_witness", "empty_witness")
+
+    def __init__(self, associative: bool, reproductive: bool, all_products_nonempty: bool,
+                 assoc_witness: Optional[tuple[int, int, int]] = None,
+                 repro_witness: Optional[int] = None,
+                 empty_witness: Optional[tuple[int, int]] = None):
+        object.__setattr__(self, "associative", associative)
+        object.__setattr__(self, "reproductive", reproductive)
+        object.__setattr__(self, "all_products_nonempty", all_products_nonempty)
+        object.__setattr__(self, "assoc_witness", assoc_witness)
+        object.__setattr__(self, "repro_witness", repro_witness)
+        object.__setattr__(self, "empty_witness", empty_witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.associative, self.reproductive, self.all_products_nonempty,
+                 self.assoc_witness, self.repro_witness, self.empty_witness)
+                == (other.associative, other.reproductive, other.all_products_nonempty,
+                    other.assoc_witness, other.repro_witness, other.empty_witness))
+
+    def __hash__(self):
+        return hash((self.associative, self.reproductive, self.all_products_nonempty,
+                     self.assoc_witness, self.repro_witness, self.empty_witness))
 
     @property
     def is_hypergroup(self) -> bool:
@@ -195,16 +249,27 @@ def verify_axioms(m: Multistructure) -> AxiomReport:
                        assoc_witness, repro_witness, empty_witness)
 
 
-@dataclass(frozen=True)
 class Hypergroup(Multistructure):
     """A multistructure that carries its verification certificate."""
 
-    report: AxiomReport
+    __slots__ = ("report",)
+    _fields = ("names", "table", "report")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.report.is_hypergroup:
-            raise NotAHypergroup(self.report)
+    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...],
+                 report: AxiomReport):
+        super().__init__(names, table)
+        object.__setattr__(self, "report", report)
+        if not report.is_hypergroup:
+            raise NotAHypergroup(report)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.names, self.table, self.report)
+                == (other.names, other.table, other.report))
+
+    def __hash__(self):
+        return hash((self.names, self.table, self.report))
 
     @classmethod
     def certify(cls, m: Multistructure) -> "Hypergroup":
@@ -241,19 +306,27 @@ def power(h: Multistructure, x: int, k: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(Frozen):
     """A total map between two carriers, image[x] = f(x)."""
 
-    dom: Multistructure
-    cod: Multistructure
-    image: tuple[int, ...]
+    __slots__ = _fields = ("dom", "cod", "image")
 
-    def __post_init__(self):
-        if len(self.image) != self.dom.n:
+    def __init__(self, dom: Multistructure, cod: Multistructure, image: tuple[int, ...]):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "image", image)
+        if len(image) != dom.n:
             raise ValueError("image must assign every domain element")
-        if any(not (0 <= v < self.cod.n) for v in self.image):
+        if any(not (0 <= v < cod.n) for v in image):
             raise ValueError("image value out of codomain range")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.cod, self.image) == (other.dom, other.cod, other.image)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.image))
 
     def img(self, dmask: int) -> int:
         out = 0
@@ -396,8 +469,7 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
     return tuple(g) if assign(0) else None
 
 
-@dataclass(frozen=True)
-class CogroupReport:
+class CogroupReport(Frozen):
     """Row-family structure of a multistructure.
 
     blocks_partition: for every fixed x the distinct products {x.y : y}
@@ -406,9 +478,22 @@ class CogroupReport:
     |x.y| agree across x (a necessary trait of coset structures).
     """
 
-    blocks_partition: bool
-    blocks_equipotent: bool
-    columns_equipotent: bool
+    __slots__ = _fields = ("blocks_partition", "blocks_equipotent", "columns_equipotent")
+
+    def __init__(self, blocks_partition: bool, blocks_equipotent: bool,
+                 columns_equipotent: bool):
+        object.__setattr__(self, "blocks_partition", blocks_partition)
+        object.__setattr__(self, "blocks_equipotent", blocks_equipotent)
+        object.__setattr__(self, "columns_equipotent", columns_equipotent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.blocks_partition, self.blocks_equipotent, self.columns_equipotent)
+                == (other.blocks_partition, other.blocks_equipotent, other.columns_equipotent))
+
+    def __hash__(self):
+        return hash((self.blocks_partition, self.blocks_equipotent, self.columns_equipotent))
 
     def __bool__(self) -> bool:
         return self.blocks_partition and self.blocks_equipotent
@@ -437,11 +522,6 @@ def cogroup_report(m: Multistructure) -> CogroupReport:
         for y in range(n)
     )
     return CogroupReport(partition, equipotent, columns)
-
-
-def is_cogroup(h: Multistructure) -> bool:
-    """Every row family partitions the carrier into equal-size blocks."""
-    return bool(cogroup_report(h))
 
 
 def restricted_growth(labels: Iterable) -> tuple[int, ...]:
@@ -474,27 +554,36 @@ def quotient_table(names: Sequence[str],
     return Multistructure(tuple(class_names), tuple(tuple(row) for row in table))
 
 
-@dataclass(frozen=True)
-class EquivalenceRelation:
+class EquivalenceRelation(Frozen):
     """An equivalence on {0..n-1}, stored as canonical class labels.
 
     class_of uses restricted-growth labeling: class indices appear in the
     order of their first occurrence (class_of[0] == 0, each new label is
-    the previous maximum plus one).
+    the previous maximum plus one). class_masks, the classes as masks, is
+    derived from it and left out of ==, hash and repr.
     """
 
-    class_of: tuple[int, ...]
-    class_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("class_of", "class_masks")
+    _fields = ("class_of",)
 
-    def __post_init__(self):
-        if not self.class_of:
+    def __init__(self, class_of: tuple[int, ...]):
+        object.__setattr__(self, "class_of", class_of)
+        if not class_of:
             raise ValueError("relation over an empty carrier")
-        if restricted_growth(self.class_of) != tuple(self.class_of):
+        if restricted_growth(class_of) != tuple(class_of):
             raise ValueError("class labels must be in restricted-growth order")
-        masks = [0] * (max(self.class_of) + 1)
-        for i, lab in enumerate(self.class_of):
+        masks = [0] * (max(class_of) + 1)
+        for i, lab in enumerate(class_of):
             masks[lab] |= 1 << i
         object.__setattr__(self, "class_masks", tuple(masks))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.class_of == other.class_of
+
+    def __hash__(self):
+        return hash(self.class_of)
 
     @property
     def n(self) -> int:
@@ -555,23 +644,6 @@ class EquivalenceRelation:
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(members(cm) for cm in self.class_masks)
-
-
-def all_equivalences(n: int) -> Iterator[EquivalenceRelation]:
-    """All equivalences on {0..n-1} in restricted-growth string order."""
-    labels = [0] * n
-
-    def rec(i: int, top: int) -> Iterator[EquivalenceRelation]:
-        if i == n:
-            yield EquivalenceRelation(tuple(labels))
-            return
-        for lab in range(top + 1):
-            labels[i] = lab
-            yield from rec(i + 1, max(top, lab + 1))
-
-    if n == 0:
-        return iter(())
-    return rec(1, 1)
 
 
 # --- canonical JSON form ---------------------------------------------------

@@ -8,10 +8,9 @@ the parent's carrier. Everything here feeds the coset constructions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import CapExceeded, Hypergroup, Multistructure, mask_of, members
+from .core import CapExceeded, Frozen, Hypergroup, Multistructure, mask_of, members
 
 DEFAULT_GROUP_CAP = 120
 
@@ -26,15 +25,32 @@ class GroupError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """A verified finite group: table[x][y] is the index of x*y."""
+class GroupTable(Frozen):
+    """A verified finite group: table[x][y] is the index of x*y.
 
-    names: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-    perms: Optional[tuple[tuple[int, ...], ...]] = field(default=None, compare=False)
+    perms, the permutation realization when there is one, is left out of
+    == and hash.
+    """
+
+    __slots__ = _fields = ("names", "table", "identity", "inverse", "perms")
+
+    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...],
+                 identity: int, inverse: tuple[int, ...],
+                 perms: Optional[tuple[tuple[int, ...], ...]] = None):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "perms", perms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.names, self.table, self.identity, self.inverse)
+                == (other.names, other.table, other.identity, other.inverse))
+
+    def __hash__(self):
+        return hash((self.names, self.table, self.identity, self.inverse))
 
     @property
     def n(self) -> int:
@@ -126,8 +142,7 @@ def from_permutations(perms: Sequence[Sequence[int]]) -> GroupTable:
             row.append(index[r])
         table.append(tuple(row))
     g = verify_group(table, tuple(_perm_name(p) for p in ps))
-    object.__setattr__(g, "perms", tuple(ps))
-    return g
+    return GroupTable(g.names, g.table, g.identity, g.inverse, tuple(ps))
 
 
 def check_group_order(order: int, cap: int, shown: object = None) -> None:
@@ -189,13 +204,15 @@ def as_hypergroup(g: GroupTable):
     return Hypergroup.certify(Multistructure(g.names, rows))
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: GroupTable
-    mask: int
+class Subgroup(Frozen):
+    """A subgroup of parent, as the mask of its elements; checked closed."""
 
-    def __post_init__(self):
-        g, m = self.parent, self.mask
+    __slots__ = _fields = ("parent", "mask")
+
+    def __init__(self, parent: GroupTable, mask: int):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "mask", mask)
+        g, m = parent, mask
         if not (m >> g.identity & 1):
             raise GroupError("identity not in subgroup")
         for x in members(m):
@@ -204,6 +221,23 @@ class Subgroup:
             for y in members(m):
                 if not (m >> g.table[x][y] & 1):
                     raise GroupError("closure", (x, y))
+
+    @classmethod
+    def _proved(cls, parent: GroupTable, mask: int) -> "Subgroup":
+        """A mask the caller has already closed (generated's output);
+        skips the O(|mask|^2) check in __init__."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "parent", parent)
+        object.__setattr__(s, "mask", mask)
+        return s
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.mask) == (other.parent, other.mask)
+
+    def __hash__(self):
+        return hash((self.parent, self.mask))
 
     @property
     def order(self) -> int:
@@ -263,7 +297,8 @@ def overgroups(g: GroupTable, hmask: int,
     Cyclic extension from H (Neubüser's method): each subgroup above H is
     <K, x> for a smaller one K in the interval, and every element of the
     coset Kx (a left coset, as coset_mask names sides) gives the same
-    <K, x>, so one x per coset is tried.
+    <K, x>, so one x per coset is tried. H gets Subgroup's full check;
+    every other mask comes from generated, closed by construction.
     """
     check_group_order(g.n, cap)
     found = {Subgroup(g, hmask).mask: hmask}  # subgroup -> generators of it
@@ -279,7 +314,8 @@ def overgroups(g: GroupTable, hmask: int,
             if ext not in found:
                 found[ext] = gens
                 todo.append(ext)
-    return tuple(Subgroup(g, m) for m in sorted(found, key=lambda m: (m.bit_count(), m)))
+    return tuple(Subgroup._proved(g, m)
+                 for m in sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
 def subgroups(g: GroupTable, cap: int = DEFAULT_GROUP_CAP) -> tuple[Subgroup, ...]:

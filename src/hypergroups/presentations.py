@@ -13,10 +13,10 @@ on the quotient's product triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    Frozen,
     Hypergroup,
     Multistructure,
     members,
@@ -35,26 +35,26 @@ from .simplicity import (
 DEFAULT_TRAME_CAP = 65536
 
 
-@dataclass(frozen=True, eq=False)
-class Trame:
+class Trame(Frozen):
     """A partial univalent operation on {0..t_n-1}.
 
     op maps composable pairs (u, v) to their single product; pairs absent
     from op are not composable. Carriers here may exceed the mask width
     used for multistructures, so relations on trame elements are label
-    tuples, never masks.
+    tuples, never masks. Trames compare by identity.
     """
 
-    names: tuple[str, ...]
-    op: dict[tuple[int, int], int]
+    __slots__ = _fields = ("names", "op")
 
-    def __post_init__(self):
-        t_n = len(self.names)
+    def __init__(self, names: tuple[str, ...], op: dict[tuple[int, int], int]):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "op", op)
+        t_n = len(names)
         if t_n < 1:
             raise ValueError("trame carrier must be non-empty")
-        if len(set(self.names)) != t_n or any(not s for s in self.names):
+        if len(set(names)) != t_n or any(not s for s in names):
             raise ValueError("trame element names must be unique and non-empty")
-        for (u, v), w in self.op.items():
+        for (u, v), w in op.items():
             if not (0 <= u < t_n and 0 <= v < t_n and 0 <= w < t_n):
                 raise ValueError(f"op entry ({u},{v})->{w} out of range")
 
@@ -63,23 +63,22 @@ class Trame:
         return len(self.names)
 
 
-@dataclass(frozen=True, eq=False)
-class Presentation:
-    """A trame together with an equivalence on its carrier."""
+class Presentation(Frozen):
+    """A trame together with an equivalence on its carrier, r, the class
+    label of each element in restricted-growth form; k, the number of
+    classes, is left out of repr. Presentations compare by identity."""
 
-    trame: Trame
-    r: tuple[int, ...]  # class label per element, restricted-growth form
+    __slots__ = ("trame", "r", "k")
+    _fields = ("trame", "r")
 
-    def __post_init__(self):
-        if len(self.r) != self.trame.t_n:
+    def __init__(self, trame: Trame, r: tuple[int, ...]):
+        object.__setattr__(self, "trame", trame)
+        object.__setattr__(self, "r", r)
+        if len(r) != trame.t_n:
             raise ValueError("relation must label every trame element")
-        if restricted_growth(self.r) != tuple(self.r):
+        if restricted_growth(r) != tuple(r):
             raise ValueError("class labels must be in restricted-growth order")
-        object.__setattr__(self, "_k", max(self.r) + 1)
-
-    @property
-    def k(self) -> int:
-        return self._k
+        object.__setattr__(self, "k", max(r) + 1)
 
 
 def group_trame(g) -> Trame:
@@ -103,12 +102,26 @@ def quotient(p: Presentation) -> Multistructure:
     return quotient_table(p.trame.names, p.trame.op.items(), p.r)
 
 
-@dataclass(frozen=True)
-class AdequacyReport:
-    reproductive: bool
-    associative: bool
-    repro_witness: Optional[tuple[int, int]] = None
-    assoc_witness: Optional[tuple[int, int, int]] = None
+class AdequacyReport(Frozen):
+    __slots__ = _fields = ("reproductive", "associative", "repro_witness", "assoc_witness")
+
+    def __init__(self, reproductive: bool, associative: bool,
+                 repro_witness: Optional[tuple[int, int]] = None,
+                 assoc_witness: Optional[tuple[int, int, int]] = None):
+        object.__setattr__(self, "reproductive", reproductive)
+        object.__setattr__(self, "associative", associative)
+        object.__setattr__(self, "repro_witness", repro_witness)
+        object.__setattr__(self, "assoc_witness", assoc_witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.reproductive, self.associative, self.repro_witness, self.assoc_witness)
+                == (other.reproductive, other.associative,
+                    other.repro_witness, other.assoc_witness))
+
+    def __hash__(self):
+        return hash((self.reproductive, self.associative, self.repro_witness, self.assoc_witness))
 
     def __bool__(self) -> bool:
         return self.reproductive and self.associative
@@ -170,22 +183,6 @@ def is_invariant_modulo_equiv(t: Trame, r: tuple[int, ...],
 
     return saturation_identity((((r[u], r[v]), r[w]) for (u, v), w in t.op.items()),
                                [image[lab] for lab in range(len(image))])
-
-
-def reflect(p: Presentation, s: tuple[int, ...]) -> Hypergroup:
-    """Quotient the presentation by a coarser invariant relation S.
-
-    Preconditions: the presentation is adequate, R refines S, and S is
-    invariant modulo R. Invariance makes the induced map from the
-    R-quotient onto the S-quotient pull products back coherently, and
-    the S-quotient is certified.
-    """
-    rep = is_adequate(p)
-    if not rep:
-        raise ValueError(f"presentation is not adequate: {rep}")
-    if not is_invariant_modulo_equiv(p.trame, p.r, s):
-        raise ValueError("relation is not invariant modulo the presentation")
-    return Hypergroup.certify(quotient(Presentation(p.trame, s)))
 
 
 def presentation_simplicity(p: Presentation,

@@ -11,12 +11,12 @@ subgroup-side decider for coset structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
     CapExceeded,
     EquivalenceRelation,
+    Frozen,
     Hypergroup,
     find_isomorphism,
     products,
@@ -47,23 +47,31 @@ def is_reflector_congruence(h: Hypergroup, eq: EquivalenceRelation) -> bool:
     return saturation_identity(products(h), eq.class_of)
 
 
-@dataclass(frozen=True)
-class ReflectorCongruence:
-    over: Hypergroup
-    eq: EquivalenceRelation
+class ReflectorCongruence(Frozen):
+    __slots__ = _fields = ("over", "eq")
 
-    def __post_init__(self):
-        if not is_reflector_congruence(self.over, self.eq):
+    def __init__(self, over: Hypergroup, eq: EquivalenceRelation):
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "eq", eq)
+        if not is_reflector_congruence(over, eq):
             raise ValueError("equivalence fails the saturation identity")
 
     @classmethod
     def _proved(cls, over: Hypergroup, eq: EquivalenceRelation) -> "ReflectorCongruence":
         """A congruence whose identity the caller has already established;
-        skips the recheck in __post_init__."""
+        skips the recheck in __init__."""
         c = object.__new__(cls)
         object.__setattr__(c, "over", over)
         object.__setattr__(c, "eq", eq)
         return c
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.over, self.eq) == (other.over, other.eq)
+
+    def __hash__(self):
+        return hash((self.over, self.eq))
 
 
 def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
@@ -209,12 +217,29 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
-    simple: bool
-    invariant_count: int  # reflector congruences, or subgroups invariant modulo H
-    checked: int  # the candidates decided over: Bell(n) partitions, or |[H, G]|
-    witness: Optional[EquivalenceRelation | Subgroup] = None  # first proper one
+class SimplicityReport(Frozen):
+    """simple, with its evidence: invariant_count, the reflector
+    congruences or the subgroups invariant modulo H; checked, the
+    candidates decided over, Bell(n) partitions or |[H, G]|; witness,
+    the first proper invariant one, if any."""
+
+    __slots__ = _fields = ("simple", "invariant_count", "checked", "witness")
+
+    def __init__(self, simple: bool, invariant_count: int, checked: int,
+                 witness: Optional[EquivalenceRelation | Subgroup] = None):
+        object.__setattr__(self, "simple", simple)
+        object.__setattr__(self, "invariant_count", invariant_count)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.simple, self.invariant_count, self.checked, self.witness)
+                == (other.simple, other.invariant_count, other.checked, other.witness))
+
+    def __hash__(self):
+        return hash((self.simple, self.invariant_count, self.checked, self.witness))
 
     def __bool__(self) -> bool:
         return self.simple

@@ -8,6 +8,7 @@ from hypergroups.core import (
     EquivalenceRelation,
     Hypergroup,
     Multistructure,
+    cogroup_report,
     members,
     product_of_sets,
 )
@@ -21,6 +22,12 @@ from hypergroups.groups import (
     verify_group,
 )
 from hypergroups.constructions import UtumiInput, stabilizer_hypergroup, utumi
+from hypergroups.presentations import (
+    Presentation,
+    is_adequate,
+    is_invariant_modulo_equiv,
+    quotient,
+)
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -180,6 +187,47 @@ def naive_is_maximal(g, hmask, all_masks):
     """Proper, and no subgroup of the whole lattice strictly between."""
     return hmask != g.full_mask and not any(
         m not in (hmask, g.full_mask) and m & hmask == hmask for m in all_masks)
+
+
+# --- brute routes that no verb takes ------------------------------------------
+
+
+def all_equivalences(n):
+    """All equivalences on {0..n-1} in restricted-growth string order."""
+    labels = [0] * n
+
+    def rec(i, top):
+        if i == n:
+            yield EquivalenceRelation(tuple(labels))
+            return
+        for lab in range(top + 1):
+            labels[i] = lab
+            yield from rec(i + 1, max(top, lab + 1))
+
+    if n == 0:
+        return iter(())
+    return rec(1, 1)
+
+
+def is_cogroup(h):
+    """Every row family partitions the carrier into equal-size blocks."""
+    return bool(cogroup_report(h))
+
+
+def reflect(p, s):
+    """Quotient the presentation by a coarser invariant relation S.
+
+    Preconditions: the presentation is adequate, R refines S, and S is
+    invariant modulo R. Invariance makes the induced map from the
+    R-quotient onto the S-quotient pull products back coherently, and
+    the S-quotient is certified.
+    """
+    rep = is_adequate(p)
+    if not rep:
+        raise ValueError(f"presentation is not adequate: {rep}")
+    if not is_invariant_modulo_equiv(p.trame, p.r, s):
+        raise ValueError("relation is not invariant modulo the presentation")
+    return Hypergroup.certify(quotient(Presentation(p.trame, s)))
 
 
 # --- group corpus -------------------------------------------------------------

@@ -1,23 +1,25 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypergroups.core import (
+    AxiomReport,
     CapExceeded,
+    CogroupReport,
     EquivalenceRelation,
     Hypergroup,
     Mapping,
     Multistructure,
     NotAHypergroup,
     ParseError,
-    all_equivalences,
     cogroup_report,
     find_isomorphism,
     from_json,
-    is_cogroup,
     is_group,
     is_morphism,
     is_reflector,
@@ -32,9 +34,25 @@ from hypergroups.core import (
     verify_axioms,
 )
 
-from hypergroups.constructions import SFamilyClass, s_family, s_family_class
+from hypergroups.constructions import (
+    SFamilyClass,
+    UtumiAssociativity,
+    UtumiInput,
+    s_family,
+    s_family_class,
+)
+from hypergroups.groups import GroupTable, Subgroup, cyclic_group, symmetric_group
+from hypergroups.presentations import AdequacyReport, Presentation, Trame
+from hypergroups.simplicity import ReflectorCongruence, SimplicityReport
 
-from conftest import naive_axiom_report, naive_is_reflector, set_product, table_sets
+from conftest import (
+    all_equivalences,
+    is_cogroup,
+    naive_axiom_report,
+    naive_is_reflector,
+    set_product,
+    table_sets,
+)
 
 
 def cyclic_ms(n):
@@ -488,3 +506,122 @@ def test_hypergroup_validates_its_table_and_report():
         Hypergroup(m.names, m.table[:2], h.report)
     with pytest.raises(NotAHypergroup):
         Hypergroup(m.names, m.table, verify_axioms(opposite(s_family((3, 1)))))
+
+
+# --- value semantics of the library's types ---------------------------------
+
+
+def value_examples():
+    """(a, b, c, fields) per value type: a and b are built apart and are
+    equal, c differs from a, fields are the repr fields in order."""
+    c3 = cyclic_ms(3)
+    h = Hypergroup.certify(c3)
+    s3 = symmetric_group(3)
+    bare = GroupTable(s3.names, s3.table, s3.identity, s3.inverse)  # equal: perms not compared
+    stab = 0b11  # identity and the transposition fixing 0
+    ident, total = EquivalenceRelation.identity(3), EquivalenceRelation.total(3)
+    return [
+        (c3, cyclic_ms(3), cyclic_ms(4), ("names", "table")),
+        (h, Hypergroup(c3.names, c3.table, verify_axioms(c3)),
+         Hypergroup.certify(cyclic_ms(4)), ("names", "table", "report")),
+        (verify_axioms(c3), AxiomReport(True, True, True),
+         AxiomReport(True, True, False, None, None, (0, 0)),
+         ("associative", "reproductive", "all_products_nonempty",
+          "assoc_witness", "repro_witness", "empty_witness")),
+        (Mapping(c3, c3, (0, 1, 2)), Mapping(cyclic_ms(3), cyclic_ms(3), (0, 1, 2)),
+         Mapping(c3, c3, (0, 2, 1)), ("dom", "cod", "image")),
+        (cogroup_report(c3), CogroupReport(True, True, True),
+         CogroupReport(True, False, True),
+         ("blocks_partition", "blocks_equipotent", "columns_equipotent")),
+        (EquivalenceRelation((0, 1, 0)), EquivalenceRelation.from_labels((5, 2, 5)),
+         total, ("class_of",)),
+        (s3, bare, cyclic_group(6), ("names", "table", "identity", "inverse", "perms")),
+        (Subgroup(s3, stab), Subgroup(bare, stab), Subgroup(s3, 1), ("parent", "mask")),
+        (UtumiInput(h, ident, 0), UtumiInput(Hypergroup.certify(c3), ident, 0),
+         UtumiInput(h, EquivalenceRelation((0, 1, 1)), 0), ("base", "partition", "zero")),
+        (UtumiAssociativity(True), UtumiAssociativity(True, None),
+         UtumiAssociativity(False, (1, 0)), ("associative", "witness")),
+        (AdequacyReport(True, True), AdequacyReport(True, True, None, None),
+         AdequacyReport(False, True, (0, 1)),
+         ("reproductive", "associative", "repro_witness", "assoc_witness")),
+        (ReflectorCongruence(h, ident), ReflectorCongruence._proved(h, EquivalenceRelation((0, 1, 2))),
+         ReflectorCongruence(h, total), ("over", "eq")),
+        (SimplicityReport(True, 2, 5), SimplicityReport(True, 2, 5, None),
+         SimplicityReport(False, 3, 5, EquivalenceRelation((0, 0, 1))),
+         ("simple", "invariant_count", "checked", "witness")),
+    ]
+
+
+def test_value_types_compare_and_hash_by_value():
+    for a, b, c, fields in value_examples():
+        assert a is not b and a == b and not a != b and hash(a) == hash(b), a
+        assert a != c and not a == c, a
+        assert len({a, b, c}) == 2
+        assert a != object() and a != tuple(getattr(a, name) for name in fields)
+
+
+def test_value_types_survive_copy_and_pickle():
+    for a, _, _, fields in value_examples():
+        for again in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(again) is type(a) and again == a and hash(again) == hash(a)
+    p = Presentation(Trame(("a", "b"), {(0, 0): 1}), (0, 1))
+    again = pickle.loads(pickle.dumps(p))
+    assert (again.trame.names, again.trame.op, again.r, again.k) == (("a", "b"), {(0, 0): 1}, (0, 1), 2)
+
+
+def test_value_types_ignore_derived_fields():
+    # GroupTable.perms: the symmetric group against its bare table in value_examples
+    e, f = EquivalenceRelation((0, 1, 0)), EquivalenceRelation((0, 1, 0))
+    object.__setattr__(f, "class_masks", ())  # not compared, not hashed
+    assert e == f and hash(e) == hash(f)
+
+
+def test_hypergroup_differs_from_its_plain_table():
+    m = cyclic_ms(3)
+    h = Hypergroup.certify(m)
+    assert h != m and m != h and h.m == m and m == h.m
+    assert len({h, m}) == 2
+
+
+def test_trames_and_presentations_compare_by_identity():
+    t, u = Trame(("a", "b"), {(0, 0): 1}), Trame(("a", "b"), {(0, 0): 1})
+    p, q = Presentation(t, (0, 1)), Presentation(t, (0, 1))
+    assert t == t and t != u and p == p and p != q
+    assert len({t, u, p, q}) == 4
+    assert repr(t) == "Trame(names=('a', 'b'), op={(0, 0): 1})"
+    assert repr(p) == f"Presentation(trame={t!r}, r=(0, 1))"
+    for obj, fields in ((t, ("names", "op")), (p, ("trame", "r", "k"))):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+
+
+def test_value_types_are_immutable():
+    for a, _, _, fields in value_examples():
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+    with pytest.raises(AttributeError):
+        EquivalenceRelation((0, 0)).class_masks = (3,)
+
+
+def test_value_types_repr_names_fields_in_order():
+    for a, _, _, fields in value_examples():
+        body = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
+        assert repr(a) == f"{type(a).__name__}({body})"
+    assert repr(EquivalenceRelation((0, 1, 0))) == "EquivalenceRelation(class_of=(0, 1, 0))"
+    assert repr(cyclic_ms(2)) == "Multistructure(names=('0', '1'), table=((1, 2), (2, 1)))"
+    assert (repr(AdequacyReport(False, True, (0, 1)))
+            == "AdequacyReport(reproductive=False, associative=True,"
+               " repro_witness=(0, 1), assoc_witness=None)")
+
+
+def test_reports_are_truthy_exactly_when_they_hold():
+    for a, b, c in itertools.product((False, True), repeat=3):
+        assert bool(CogroupReport(a, b, c)) == (a and b)
+        assert bool(AdequacyReport(a, b)) == (a and b)
+    for a in (False, True):
+        assert bool(UtumiAssociativity(a)) == a
+        assert bool(SimplicityReport(a, 2, 5)) == a

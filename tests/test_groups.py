@@ -321,6 +321,15 @@ def test_overgroups_in_sym5():
     assert not is_maximal(g, fix01)
 
 
+def test_overgroups_members_pass_the_full_subgroup_check(sym4, dih12):
+    # overgroups wraps the masks generated has closed without re-checking
+    # closure; every one of them passes the public constructor's check
+    for g in (sym4, dih12, cyclic_group(12)):
+        for h in subgroups(g):
+            for k in overgroups(g, h.mask):
+                assert k.parent is g and Subgroup(g, k.mask) == k
+
+
 def test_overgroups_refuse_non_subgroups_and_oversized_groups(sym3):
     with pytest.raises(GroupError):
         overgroups(sym3, 0b000110)  # no identity

@@ -9,7 +9,6 @@ from hypergroups.core import (
     CapExceeded,
     Hypergroup,
     Mapping,
-    all_equivalences,
     find_isomorphism,
     is_reflector,
     verify_axioms,
@@ -32,7 +31,6 @@ from hypergroups.presentations import (
     is_invariant_modulo_equiv,
     presentation_simplicity,
     quotient,
-    reflect,
 )
 from hypergroups.constructions import (
     canonical_presentation,
@@ -40,6 +38,8 @@ from hypergroups.constructions import (
     right_coset_hypergroup,
     s_family,
 )
+
+from conftest import all_equivalences, reflect
 
 
 # --- oracles ------------------------------------------------------------------

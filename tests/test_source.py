@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+import subprocess
 import sys
 
 import hypergroups
@@ -64,3 +65,14 @@ def test_runtime_imports_only_the_standard_library():
             found += [f"{name}:{node.lineno}:{top}" for top in tops
                       if top not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_startup_loads_neither_dataclasses_nor_inspect():
+    # every invocation pays for what importing the command line loads;
+    # dataclasses alone brings in inspect, ast, dis and tokenize
+    src = pathlib.Path(hypergroups.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hypergroups.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
