@@ -11,6 +11,8 @@ subgroup-side decider for coset structures.
 
 from __future__ import annotations
 
+from itertools import chain, product, repeat
+from operator import or_
 from typing import Optional
 
 from .core import (
@@ -86,14 +88,39 @@ def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
     return Hypergroup.certify(quotient_table(h.names, products(h), c.eq.class_of))
 
 
-def _suffix_unions(table, n):
-    sufrow = [[0] * (n + 1) for _ in range(n)]
-    sufcol = [[0] * (n + 1) for _ in range(n)]
-    for x in range(n):
-        for j in range(n - 1, -1, -1):
-            sufrow[x][j] = sufrow[x][j + 1] | table[x][j]
-            sufcol[x][j] = sufcol[x][j + 1] | table[j][x]
-    return sufrow, sufcol
+def _node_ok(i, labels, cmask, rowsum, colsum, table, nextrow, nextcol):
+    """Whether labels[0..i] may still extend to a reflector congruence:
+    the six req/pos inclusions at every labelled pair, pairs with i first."""
+    pm = (2 << i) - 1  # the labelled elements
+    free = ~pm  # the others, as an unbounded mask; -1 stands for all
+    sat = {}  # e & pm -> its saturation, for this node's classes
+    for x, y in chain(zip(repeat(i), range(i + 1)), zip(range(i), repeat(i)),
+                      product(range(i), repeat=2)):
+        e = table[x][y]
+        ep = e & pm
+        s1req = sat.get(ep)
+        if s1req is None:
+            s1req, rest = 0, ep
+            while rest:
+                cm = cmask[labels[(rest & -rest).bit_length() - 1]]
+                s1req |= cm
+                rest &= ~cm
+            sat[ep] = s1req
+        if e & free:
+            s1pos = -1
+        elif e:
+            s1pos = s1req | free
+        else:
+            s1pos = 0
+        s2req = rowsum[labels[y]][x]
+        s2pos = s2req | nextrow[x]
+        s3req = colsum[labels[x]][y]
+        s3pos = s3req | nextcol[y]
+        if (s2req & ~s1pos or s3req & ~s1pos
+                or s1req & ~s2pos or s1req & ~s3pos
+                or s2req & ~s3pos or s3req & ~s2pos):
+            return False
+    return True
 
 
 def reflector_congruences(h: Hypergroup,
@@ -110,6 +137,17 @@ def reflector_congruences(h: Hypergroup,
     another's pos. With no elements left the req/pos pairs collapse and
     the test is exactly the final identity, so leaves need no recheck.
 
+    The class masks and the row and column unions over each class are
+    kept up to date: labelling i with c ORs column i and row i of the
+    table into class c's unions for every x, and unlabelling restores
+    the two lists it replaced. A node reads them and computes only the
+    saturations, once per distinct x.y restricted to the labelled
+    elements. Every labelled pair is re-tested at every node, not just
+    those involving i: giving i a label only adds to the req sets and,
+    as the suffix unions of unlabelled elements lose i, only shrinks the
+    pos sets, so an older pair can fail anew. The pairs involving i go
+    first, since a node that fails usually fails on one of them.
+
     limit, when given, stops the search after that many congruences
     (is_simple uses 3: any third congruence settles the verdict).
     """
@@ -117,61 +155,42 @@ def reflector_congruences(h: Hypergroup,
     if n > cap:
         raise CapExceeded(f"carrier size {n} exceeds simplicity cap {cap}")
     table = h.table
-    full = h.full_mask
-    sufrow, sufcol = _suffix_unions(table, n)
+    cols = list(zip(*table))
+    # nextrow[j][x]: the union of x.y over y >= j; nextcol[j][y]: of x.y over x >= j
+    nextrow = [[0] * n]
+    nextcol = [[0] * n]
+    for j in range(n - 1, -1, -1):
+        nextrow.append(list(map(or_, nextrow[-1], cols[j])))
+        nextcol.append(list(map(or_, nextcol[-1], table[j])))
+    nextrow.reverse()
+    nextcol.reverse()
     labels = [0] * n
+    # cmask[c]: the labelled members of class c; rowsum[c][x]: the union of
+    # x.y over labelled y in class c; colsum[c][y]: of x.y over labelled x in
+    # c. Their lists are replaced, never changed in place, so may share one.
+    cmask = [1] + [0] * (n - 1)
+    rowsum = [list(cols[0])] + [[0] * n] * (n - 1)
+    colsum = [list(table[0])] + [[0] * n] * (n - 1)
     out: list[ReflectorCongruence] = []
-
-    def node_ok(i: int) -> bool:
-        # elements 0..i are labeled
-        pm = (1 << (i + 1)) - 1
-        free = full & ~pm
-        k = max(labels[j] for j in range(i + 1)) + 1
-        cmask = [0] * k
-        for j in range(i + 1):
-            cmask[labels[j]] |= 1 << j
-        rowsum = [[0] * k for _ in range(i + 1)]
-        colsum = [[0] * k for _ in range(i + 1)]
-        for x in range(i + 1):
-            tx = table[x]
-            for y in range(i + 1):
-                e = tx[y]
-                rowsum[x][labels[y]] |= e
-                colsum[y][labels[x]] |= e
-        nextrow = [sr[i + 1] for sr in sufrow]
-        nextcol = [sc[i + 1] for sc in sufcol]
-        for x in range(i + 1):
-            for y in range(i + 1):
-                e = table[x][y]
-                ep = e & pm
-                s1req = 0
-                for cm in cmask:
-                    if cm & ep:
-                        s1req |= cm
-                if e & free:
-                    s1pos = pm | free
-                elif e:
-                    s1pos = s1req | free
-                else:
-                    s1pos = 0
-                s2req = rowsum[x][labels[y]]
-                s2pos = s2req | nextrow[x]
-                s3req = colsum[y][labels[x]]
-                s3pos = s3req | nextcol[y]
-                if (s2req & ~s1pos or s3req & ~s1pos
-                        or s1req & ~s2pos or s1req & ~s3pos
-                        or s2req & ~s3pos or s3req & ~s2pos):
-                    return False
-        return True
 
     def rec(i: int, top: int) -> bool:
         if i == n:
             eq = EquivalenceRelation(tuple(labels))
             out.append(ReflectorCongruence._proved(h, eq))
             return limit is not None and len(out) >= limit
+        bit, row, col = 1 << i, table[i], cols[i]
         for lab in range(top + 1):
             labels[i] = lab
-            if node_ok(i) and rec(i + 1, max(top, lab + 1)):
+            rs, cs = rowsum[lab], colsum[lab]
+            rowsum[lab] = list(map(or_, rs, col))
+            colsum[lab] = list(map(or_, cs, row))
+            cmask[lab] |= bit
+            stop = (_node_ok(i, labels, cmask, rowsum, colsum, table,
+                             nextrow[i + 1], nextcol[i + 1])
+                    and rec(i + 1, max(top, lab + 1)))
+            rowsum[lab], colsum[lab] = rs, cs
+            cmask[lab] ^= bit
+            if stop:
                 return True
         return False
 

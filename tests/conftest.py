@@ -230,6 +230,86 @@ def reflect(p, s):
     return Hypergroup.certify(quotient(Presentation(p.trame, s)))
 
 
+# --- the congruence search with its state rebuilt at every node --------------
+
+
+def naive_congruence_search(h, limit=None):
+    """reflector_congruences as a plain backtracking that rebuilds the class
+    masks and the row and column unions at every node, tests the pairs in
+    row-major order and stops at the first failing one; (the class_of
+    tuples found, in order, and the number of nodes tested)."""
+    n = h.n
+    table = h.table
+    full = h.full_mask
+    sufrow = [[0] * (n + 1) for _ in range(n)]
+    sufcol = [[0] * (n + 1) for _ in range(n)]
+    for x in range(n):
+        for j in range(n - 1, -1, -1):
+            sufrow[x][j] = sufrow[x][j + 1] | table[x][j]
+            sufcol[x][j] = sufcol[x][j + 1] | table[j][x]
+    labels = [0] * n
+    out = []
+    nodes = 0
+
+    def node_ok(i: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        # elements 0..i are labeled
+        pm = (1 << (i + 1)) - 1
+        free = full & ~pm
+        k = max(labels[j] for j in range(i + 1)) + 1
+        cmask = [0] * k
+        for j in range(i + 1):
+            cmask[labels[j]] |= 1 << j
+        rowsum = [[0] * k for _ in range(i + 1)]
+        colsum = [[0] * k for _ in range(i + 1)]
+        for x in range(i + 1):
+            tx = table[x]
+            for y in range(i + 1):
+                e = tx[y]
+                rowsum[x][labels[y]] |= e
+                colsum[y][labels[x]] |= e
+        nextrow = [sr[i + 1] for sr in sufrow]
+        nextcol = [sc[i + 1] for sc in sufcol]
+        for x in range(i + 1):
+            for y in range(i + 1):
+                e = table[x][y]
+                ep = e & pm
+                s1req = 0
+                for cm in cmask:
+                    if cm & ep:
+                        s1req |= cm
+                if e & free:
+                    s1pos = pm | free
+                elif e:
+                    s1pos = s1req | free
+                else:
+                    s1pos = 0
+                s2req = rowsum[x][labels[y]]
+                s2pos = s2req | nextrow[x]
+                s3req = colsum[y][labels[x]]
+                s3pos = s3req | nextcol[y]
+                if (s2req & ~s1pos or s3req & ~s1pos
+                        or s1req & ~s2pos or s1req & ~s3pos
+                        or s2req & ~s3pos or s3req & ~s2pos):
+                    return False
+        return True
+
+    def rec(i: int, top: int) -> bool:
+        if i == n:
+            eq = EquivalenceRelation(tuple(labels))
+            out.append(eq.class_of)
+            return limit is not None and len(out) >= limit
+        for lab in range(top + 1):
+            labels[i] = lab
+            if node_ok(i) and rec(i + 1, max(top, lab + 1)):
+                return True
+        return False
+
+    rec(1, 1)
+    return out, nodes
+
+
 # --- group corpus -------------------------------------------------------------
 
 

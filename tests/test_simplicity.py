@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hypergroups.core import (
     CapExceeded,
@@ -11,6 +11,7 @@ from hypergroups.core import (
     find_isomorphism,
     is_group,
     opposite,
+    verify_axioms,
 )
 from hypergroups.groups import (
     Subgroup,
@@ -34,6 +35,7 @@ from hypergroups.constructions import (
     utumi_is_associative,
     utumi_simplicity_criterion,
 )
+from hypergroups import simplicity
 from hypergroups.simplicity import (
     DEFAULT_SIMPLICITY_CAP,
     ReflectorCongruence,
@@ -51,6 +53,7 @@ from hypergroups.simplicity import (
 
 from conftest import (
     blocks_of,
+    naive_congruence_search,
     naive_quotient_by,
     naive_reflector_partitions,
     saturate,
@@ -140,6 +143,111 @@ def test_enumeration_cap(z4h):
         reflector_congruences(z4h, cap=3)
     with pytest.raises(CapExceeded):
         is_simple(stabilizer_hypergroup(13))
+
+
+def total_hypergroup(n):
+    return Hypergroup.certify(Multistructure(tuple(f"t{i}" for i in range(n)),
+                                             (((1 << n) - 1,) * n,) * n))
+
+
+def with_node_count(search, *args, **kwargs):
+    """search(*args, **kwargs) and the number of nodes reflector_congruences
+    tested on the way: the calls of its per-node test."""
+    calls = 0
+    node_ok = simplicity._node_ok
+
+    def counted(*node):
+        nonlocal calls
+        calls += 1
+        return node_ok(*node)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicity, "_node_ok", counted)
+        return search(*args, **kwargs), calls
+
+
+def assert_same_search(h, limit):
+    found, nodes = with_node_count(reflector_congruences, h, cap=h.n, limit=limit)
+    assert ([c.eq.class_of for c in found], nodes) == naive_congruence_search(h, limit), \
+        (h.names, limit)
+
+
+INFLATION_BASES = [as_hypergroup(cyclic_group(k)) for k in (1, 2, 3, 4)] + [
+    stabilizer_hypergroup(3), total_hypergroup(2), total_hypergroup(3)]
+
+
+@st.composite
+def small_hypergroup_tables(draw):
+    """Tables on 1-7 elements, mostly hypergroups: a small hypergroup with
+    each element blown up into a block of copies (x'.y' = the blocks of
+    x.y), or a dense random table; relabelled, now and then with a bit
+    added."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(INFLATION_BASES))
+        owner = []
+        for u in range(base.n):
+            room = 7 - len(owner) - (base.n - u - 1)  # one place kept for each later u
+            owner += [u] * draw(st.integers(1, min(3, room)))
+        block = [sum(1 << a for a, v in enumerate(owner) if v == u) for u in range(base.n)]
+        rows = [[sum(block[w] for w in range(base.n) if base.table[owner[a]][owner[b]] >> w & 1)
+                 for b in range(len(owner))] for a in range(len(owner))]
+    else:
+        n = draw(st.integers(1, 7))
+        full = (1 << n) - 1
+        rows = [[full & ~(draw(st.integers(0, full)) & draw(st.integers(0, full))
+                          & draw(st.integers(0, full)))
+                 for _ in range(n)] for _ in range(n)]
+    n = len(rows)
+    perm = draw(st.permutations(range(n)))
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = sum(1 << perm[w] for w in range(n) if rows[x][y] >> w & 1)
+    for _ in range(draw(st.integers(0, 1))):
+        x, y, w = (draw(st.integers(0, n - 1)) for _ in range(3))
+        out[x][y] |= 1 << w
+    return Multistructure(tuple(f"x{i}" for i in range(n)), tuple(map(tuple, out)))
+
+
+@settings(max_examples=300)
+@given(small_hypergroup_tables(), st.sampled_from([None, 1, 3]))
+def test_congruence_search_matches_rebuilt_oracle_on_random_hypergroups(m, limit):
+    # the same leaves in the same order after the same number of nodes
+    assume(verify_axioms(m).is_hypergroup)
+    assert_same_search(Hypergroup.certify(m), limit)
+
+
+def test_congruence_search_matches_rebuilt_oracle(small_hypergroup_corpus, utumi_z8, dih12):
+    hs = small_hypergroup_corpus + [as_hypergroup(g) for g in (cyclic_group(12), dih12,
+                                                              cyclic_group(24))]
+    for h in hs + [total_hypergroup(6), utumi_z8]:
+        for limit in (None, 1, 3):
+            assert_same_search(h, limit)
+
+
+def test_congruence_search_node_counts():
+    # pinned: a search that prunes less, or re-tests only the pairs that
+    # involve the new element (266 nodes on D12, 451 on D16), fails here
+    for h, nodes in ((as_hypergroup(cyclic_group(24)), 1216),
+                     (as_hypergroup(dihedral_group(6)), 248),
+                     (as_hypergroup(dihedral_group(8)), 426),
+                     (as_hypergroup(cyclic_group(32)), 2171),
+                     (total_hypergroup(8), 5294)):
+        assert with_node_count(reflector_congruences, h, cap=64)[1] == nodes, h.names
+    assert with_node_count(is_simple, as_hypergroup(cyclic_group(64)), cap=64) == (False, 586)
+
+
+def test_meet_of_two_congruences_need_not_be_one():
+    # reflector congruences are closed under join but not under meet
+    rows = ((62, 63, 31, 59, 63, 23), (13, 62, 62, 59, 51, 61), (13, 62, 55, 19, 43, 58),
+            (63, 57, 53, 61, 23, 55), (11, 63, 60, 13, 31, 54), (53, 59, 30, 23, 55, 31))
+    h = Hypergroup.certify(Multistructure(tuple("abcdef"), rows))
+    found = [c.eq.class_of for c in reflector_congruences(h)]
+    assert found == [(0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 1, 0), (0, 1, 0, 1, 1, 0),
+                     (0, 1, 2, 3, 4, 5)]
+    meet = EquivalenceRelation.from_labels(list(zip(found[1], found[2])))
+    assert meet.class_of == (0, 1, 2, 3, 3, 0)
+    assert not is_reflector_congruence(h, meet)
 
 
 def test_quotient_by_identity_reproduces(z8h):
