@@ -175,7 +175,8 @@ def reflector_congruences(h: Hypergroup,
 
     def rec(i: int, top: int) -> bool:
         if i == n:
-            eq = EquivalenceRelation(tuple(labels))
+            # labels are in restricted-growth order; cmask[:top] are the classes
+            eq = EquivalenceRelation._proved(tuple(labels), tuple(cmask[:top]))
             out.append(ReflectorCongruence._proved(h, eq))
             return limit is not None and len(out) >= limit
         bit, row, col = 1 << i, table[i], cols[i]

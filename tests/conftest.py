@@ -18,6 +18,7 @@ from hypergroups.groups import (
     cyclic_group,
     dihedral_group,
     from_permutations,
+    set_mult,
     symmetric_group,
     verify_group,
 )
@@ -187,6 +188,46 @@ def naive_is_maximal(g, hmask, all_masks):
     """Proper, and no subgroup of the whole lattice strictly between."""
     return hmask != g.full_mask and not any(
         m not in (hmask, g.full_mask) and m & hmask == hmask for m in all_masks)
+
+
+def naive_is_invariant_modulo(g, hmask, kmask):
+    """is_invariant_modulo by set products: H in K and Kx in HxK for all x."""
+    if hmask & ~kmask:
+        return False
+    for x in range(g.n):
+        kx = set_mult(g, kmask, 1 << x)
+        hxk = set_mult(g, hmask, set_mult(g, 1 << x, kmask))
+        if kx & ~hxk:
+            return False
+    return True
+
+
+def full_scan_group_check(table):
+    """verify_group's outcome with associativity scanned over all n^3
+    triples: (kind, witness) of the first failure in its order, or
+    ("group", (identity, inverse))."""
+    n = len(table)
+    if n == 0 or any(len(row) != n for row in table):
+        return "shape", None
+    bad = next(((x, y) for x in range(n) for y in range(n)
+                if not 0 <= table[x][y] < n), None)
+    if bad is not None:
+        return "range", bad
+    bad = next(((x, y, z) for x, y, z in itertools.product(range(n), repeat=3)
+                if table[table[x][y]][z] != table[x][table[y][z]]), None)
+    if bad is not None:
+        return "associativity", bad
+    e = next((e for e in range(n)
+              if all(table[e][x] == x == table[x][e] for x in range(n))), None)
+    if e is None:
+        return "identity", None
+    inverse = []
+    for x in range(n):
+        y = next((y for y in range(n) if table[x][y] == e == table[y][x]), None)
+        if y is None:
+            return "inverse", x
+        inverse.append(y)
+    return "group", (e, tuple(inverse))
 
 
 # --- brute routes that no verb takes ------------------------------------------

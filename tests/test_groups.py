@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hypergroups.core import CapExceeded, mask_of, members
 from hypergroups.groups import (
@@ -29,8 +29,12 @@ from hypergroups.groups import (
     verify_group,
 )
 
+from hypergroups.presentations import coset_relation, group_trame, is_invariant_modulo_equiv
+
 from conftest import (
     alternating_subgroup,
+    full_scan_group_check,
+    naive_is_invariant_modulo,
     naive_is_maximal,
     naive_overgroup_masks,
     parity,
@@ -87,6 +91,61 @@ def test_verify_group_witness_on_corrupted_tables(group):
         with pytest.raises(GroupError) as e:
             verify_group(table)
         assert (e.value.kind, e.value.witness) == ("associativity", first), (x, y)
+
+
+LIGHT_TEST_GROUPS = [g.table for g in (cyclic_group(6), symmetric_group(3), dihedral_group(4),
+                                        cyclic_group(8), symmetric_group(4), cyclic_group(12))]
+
+
+@st.composite
+def group_tables_and_magmas(draw):
+    """A group table with 0-3 entries changed, or a random magma on 1-5
+    elements; relabelled."""
+    if draw(st.booleans()):
+        table = [list(row) for row in draw(st.sampled_from(LIGHT_TEST_GROUPS))]
+        n = len(table)
+        for _ in range(draw(st.integers(0, 3))):
+            x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            table[x][y] = draw(st.integers(0, n - 1))
+    else:
+        n = draw(st.integers(1, 5))
+        table = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    p = draw(st.permutations(range(n)))
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[p[x]][p[y]] = p[table[x][y]]
+    return out
+
+
+def verify_group_outcome(table):
+    try:
+        g = verify_group(table)
+    except GroupError as e:
+        return e.kind, e.witness
+    return "group", (g.identity, g.inverse)
+
+
+@settings(max_examples=600)
+@given(group_tables_and_magmas())
+def test_verify_group_light_test_matches_full_scan(table):
+    assert verify_group_outcome(table) == full_scan_group_check(table)
+
+
+def test_verify_group_checks_more_than_the_first_generator():
+    # Z6 with x*y = x + y + 3 when x = y = 1 mod 3, its elements 0 and 3
+    # swapped: element 0 reaches only {0, 3}, and every bad triple has its
+    # middle element outside that, so the test must go on to more
+    # generators to see one
+    table = [(3, 4, 5, 0, 1, 2), (4, 5, 0, 1, 2, 3), (5, 0, 4, 2, 3, 1),
+             (0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0), (2, 3, 1, 5, 0, 4)]
+    reached = {0, table[0][0]}
+    assert reached == {0, 3} and table[3][0] in reached
+    bad = [(x, y, z) for x, y, z in itertools.product(range(6), repeat=3)
+           if table[table[x][y]][z] != table[x][table[y][z]]]
+    assert bad and not {y for _, y, _ in bad} & reached
+    assert verify_group_outcome(table) == ("associativity", bad[0]) == ("associativity", (1, 1, 2))
 
 
 def test_verify_group_identity_and_inverse_failures():
@@ -381,6 +440,25 @@ def test_invariance_modulo_matches_definition(sym3, sym4, dih8, dih12, z8, klein
                 pairs += 1
                 invariant += got
     assert pairs >= 1000 and 100 <= invariant <= pairs - 100
+
+
+def test_invariance_modulo_matches_set_products_and_trames(sym4, dih12):
+    # coset labels against the set products and against the trame-level
+    # check on the coset relations, every pair of subgroups, both sides
+    pairs = 0
+    for g in (sym4, dih12, cyclic_group(12)):
+        t = group_trame(g)
+        subs = [s.mask for s in subgroups(g)]
+        rel = {(m, side): coset_relation(g, m, side) for m in subs for side in ("right", "left")}
+        for hm in subs:
+            for km in subs:
+                got = is_invariant_modulo(g, hm, km)
+                assert got == naive_is_invariant_modulo(g, hm, km), (g.names, hm, km)
+                for side in ("right", "left"):
+                    assert got == is_invariant_modulo_equiv(t, rel[hm, side], rel[km, side]), \
+                        (g.names, hm, km, side)
+                pairs += 1
+    assert pairs == 1192
 
 
 def test_as_hypergroup_univalent(sym3):

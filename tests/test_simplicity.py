@@ -18,7 +18,6 @@ from hypergroups.groups import (
     as_hypergroup,
     cyclic_group,
     dihedral_group,
-    is_invariant_modulo,
     is_maximal,
     is_normal,
     overgroups,
@@ -54,6 +53,7 @@ from hypergroups.simplicity import (
 from conftest import (
     blocks_of,
     naive_congruence_search,
+    naive_is_invariant_modulo,
     naive_quotient_by,
     naive_reflector_partitions,
     saturate,
@@ -223,6 +223,16 @@ def test_congruence_search_matches_rebuilt_oracle(small_hypergroup_corpus, utumi
     for h in hs + [total_hypergroup(6), utumi_z8]:
         for limit in (None, 1, 3):
             assert_same_search(h, limit)
+
+
+def test_congruence_search_leaves_match_checked_relations(small_hypergroup_corpus, utumi_z8):
+    # the leaves skip EquivalenceRelation's check and mask build; rebuilt
+    # through it, each has the same labels and class masks
+    for h in small_hypergroup_corpus + [as_hypergroup(dihedral_group(6)), total_hypergroup(6),
+                                        utumi_z8]:
+        for c in reflector_congruences(h, cap=h.n):
+            eq = EquivalenceRelation(c.eq.class_of)
+            assert (c.eq.class_of, c.eq.class_masks) == (eq.class_of, eq.class_masks)
 
 
 def test_congruence_search_node_counts():
@@ -402,7 +412,7 @@ def test_coset_simplicity_report_counts_congruences(coset_test_set, dih12):
         assert rep.checked == len(overgroups(g, sub.mask))
         between = [k for k in overgroups(g, sub.mask)
                    if k.mask not in (sub.mask, g.full_mask)
-                   and is_invariant_modulo(g, sub.mask, k.mask)]
+                   and naive_is_invariant_modulo(g, sub.mask, k.mask)]
         assert rep.witness == (between[0] if between else None)
         if rep.witness is not None:
             k = rep.witness.mask
