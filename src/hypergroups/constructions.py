@@ -78,6 +78,16 @@ def stabilizer_hypergroup(alpha: int) -> Hypergroup:
     return Hypergroup.certify(m)
 
 
+def _s_family_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """sizes as a tuple, refused unless every block has size >= 1."""
+    sizes = tuple(sizes)
+    if not sizes or sizes[0] < 1:
+        raise ValueError("need a first block of size >= 1")
+    if any(p < 1 for p in sizes[1:]):
+        raise ValueError("block sizes must be >= 1")
+    return sizes
+
+
 def s_family(sizes: Sequence[int]) -> Multistructure:
     """The table S(n, p_1..p_b) on K = A_0 + A_1 + ... (disjoint blocks).
 
@@ -87,11 +97,7 @@ def s_family(sizes: Sequence[int]) -> Multistructure:
     x.y = K minus A_i. Blocks A_i for i >= 1 may have any size p_i; the
     table is a multistructure, not always a hypergroup.
     """
-    sizes = tuple(sizes)
-    if not sizes or sizes[0] < 1:
-        raise ValueError("need a first block of size >= 1")
-    if any(p < 1 for p in sizes[1:]):
-        raise ValueError("block sizes must be >= 1")
+    sizes = _s_family_sizes(sizes)
     n = sizes[0]
     total = sum(sizes)
     check_carrier_size(total)
@@ -133,9 +139,10 @@ def s_family_class(sizes: Sequence[int]) -> SFamilyClass:
     In order: all blocks of size n (coset-realizable); n >= 3 with all
     sizes >= 3 and some size differing from n (hypergroup, never a coset
     structure); n >= 2 with some later block a singleton (an empty
-    product appears); everything else (associativity fails).
+    product appears); everything else (associativity fails). Refuses
+    the sizes s_family refuses, except a carrier wider than the masks.
     """
-    sizes = tuple(sizes)
+    sizes = _s_family_sizes(sizes)
     n = sizes[0]
     rest = sizes[1:]
     if all(p == n for p in rest):
@@ -215,15 +222,6 @@ class UtumiInput(Frozen):
             if zx & ~eq.class_mask(x):
                 raise UtumiInputError("0 + x must stay inside the class of x")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.base, self.partition, self.zero)
-                == (other.base, other.partition, other.zero))
-
-    def __hash__(self):
-        return hash((self.base, self.partition, self.zero))
-
 
 def utumi(data: UtumiInput) -> Multistructure:
     """The table x.y = x + ybar (sum over the class of y).
@@ -250,14 +248,6 @@ class UtumiAssociativity(Frozen):
     def __init__(self, associative: bool, witness: Optional[tuple[int, int]] = None):
         object.__setattr__(self, "associative", associative)
         object.__setattr__(self, "witness", witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.associative, self.witness) == (other.associative, other.witness)
-
-    def __hash__(self):
-        return hash((self.associative, self.witness))
 
     def __bool__(self) -> bool:
         return self.associative

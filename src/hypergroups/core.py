@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_ELEMENTS = 64  # mask-width contract for carriers
@@ -43,13 +44,33 @@ class Frozen:
     __init__ with object.__setattr__; assigning or deleting a field
     afterwards raises AttributeError. _fields are the parameters of
     __init__, in order: repr shows them as Name(field=value, ...), and
-    copy and pickle rebuild an instance from them. A value type writes
-    __eq__ and __hash__ over its fields; without them instances compare
-    by identity.
+    copy and pickle rebuild an instance from them. Values compare and
+    hash over _fields, or over the subset a class declares as _compared,
+    and only against an instance of the same class.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__dict__.get("_compared", cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    @classmethod
+    def _proved(cls, *values):
+        """An instance whose checks the caller has already made: values
+        fill the class's own __slots__ in order, without running __init__."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values, strict=True):
+            object.__setattr__(obj, name, value)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -106,14 +127,6 @@ class Multistructure(Frozen):
                 if not (0 <= e < top):
                     raise ValueError("table entry out of range for carrier")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.names, self.table) == (other.names, other.table)
-
-    def __hash__(self):
-        return hash((self.names, self.table))
-
     @property
     def n(self) -> int:
         return len(self.names)
@@ -148,18 +161,6 @@ class AxiomReport(Frozen):
         object.__setattr__(self, "assoc_witness", assoc_witness)
         object.__setattr__(self, "repro_witness", repro_witness)
         object.__setattr__(self, "empty_witness", empty_witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.associative, self.reproductive, self.all_products_nonempty,
-                 self.assoc_witness, self.repro_witness, self.empty_witness)
-                == (other.associative, other.reproductive, other.all_products_nonempty,
-                    other.assoc_witness, other.repro_witness, other.empty_witness))
-
-    def __hash__(self):
-        return hash((self.associative, self.reproductive, self.all_products_nonempty,
-                     self.assoc_witness, self.repro_witness, self.empty_witness))
 
     @property
     def is_hypergroup(self) -> bool:
@@ -262,15 +263,6 @@ class Hypergroup(Multistructure):
         if not report.is_hypergroup:
             raise NotAHypergroup(report)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.names, self.table, self.report)
-                == (other.names, other.table, other.report))
-
-    def __hash__(self):
-        return hash((self.names, self.table, self.report))
-
     @classmethod
     def certify(cls, m: Multistructure) -> "Hypergroup":
         return cls(m.names, m.table, verify_axioms(m))
@@ -319,14 +311,6 @@ class Mapping(Frozen):
             raise ValueError("image must assign every domain element")
         if any(not (0 <= v < cod.n) for v in image):
             raise ValueError("image value out of codomain range")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dom, self.cod, self.image) == (other.dom, other.cod, other.image)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.image))
 
     def img(self, dmask: int) -> int:
         out = 0
@@ -486,15 +470,6 @@ class CogroupReport(Frozen):
         object.__setattr__(self, "blocks_equipotent", blocks_equipotent)
         object.__setattr__(self, "columns_equipotent", columns_equipotent)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.blocks_partition, self.blocks_equipotent, self.columns_equipotent)
-                == (other.blocks_partition, other.blocks_equipotent, other.columns_equipotent))
-
-    def __hash__(self):
-        return hash((self.blocks_partition, self.blocks_equipotent, self.columns_equipotent))
-
     def __bool__(self) -> bool:
         return self.blocks_partition and self.blocks_equipotent
 
@@ -560,7 +535,8 @@ class EquivalenceRelation(Frozen):
     class_of uses restricted-growth labeling: class indices appear in the
     order of their first occurrence (class_of[0] == 0, each new label is
     the previous maximum plus one). class_masks, the classes as masks, is
-    derived from it and left out of ==, hash and repr.
+    derived from it and left out of ==, hash and repr. _proved(class_of,
+    class_masks) skips the restricted-growth check and the mask build.
     """
 
     __slots__ = ("class_of", "class_masks")
@@ -576,24 +552,6 @@ class EquivalenceRelation(Frozen):
         for i, lab in enumerate(class_of):
             masks[lab] |= 1 << i
         object.__setattr__(self, "class_masks", tuple(masks))
-
-    @classmethod
-    def _proved(cls, class_of: tuple[int, ...],
-                class_masks: tuple[int, ...]) -> "EquivalenceRelation":
-        """Labels the caller produced in restricted-growth order, with their
-        classes as masks; skips the check and the mask build in __init__."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "class_of", class_of)
-        object.__setattr__(e, "class_masks", class_masks)
-        return e
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.class_of == other.class_of
-
-    def __hash__(self):
-        return hash(self.class_of)
 
     @property
     def n(self) -> int:

@@ -33,6 +33,7 @@ class GroupTable(Frozen):
     """
 
     __slots__ = _fields = ("names", "table", "identity", "inverse", "perms")
+    _compared = ("names", "table", "identity", "inverse")
 
     def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...],
                  identity: int, inverse: tuple[int, ...],
@@ -42,15 +43,6 @@ class GroupTable(Frozen):
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "perms", perms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.names, self.table, self.identity, self.inverse)
-                == (other.names, other.table, other.identity, other.inverse))
-
-    def __hash__(self):
-        return hash((self.names, self.table, self.identity, self.inverse))
 
     @property
     def n(self) -> int:
@@ -225,7 +217,8 @@ def as_hypergroup(g: GroupTable):
 
 
 class Subgroup(Frozen):
-    """A subgroup of parent, as the mask of its elements; checked closed."""
+    """A subgroup of parent, as the mask of its elements; checked closed.
+    _proved(parent, mask) skips the O(|mask|^2) closure check."""
 
     __slots__ = _fields = ("parent", "mask")
 
@@ -241,23 +234,6 @@ class Subgroup(Frozen):
             for y in members(m):
                 if not (m >> g.table[x][y] & 1):
                     raise GroupError("closure", (x, y))
-
-    @classmethod
-    def _proved(cls, parent: GroupTable, mask: int) -> "Subgroup":
-        """A mask the caller has already closed (generated's output);
-        skips the O(|mask|^2) check in __init__."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "parent", parent)
-        object.__setattr__(s, "mask", mask)
-        return s
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parent, self.mask) == (other.parent, other.mask)
-
-    def __hash__(self):
-        return hash((self.parent, self.mask))
 
     @property
     def order(self) -> int:

@@ -45,6 +45,7 @@ class Trame(Frozen):
     """
 
     __slots__ = _fields = ("names", "op")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, names: tuple[str, ...], op: dict[tuple[int, int], int]):
         object.__setattr__(self, "names", names)
@@ -70,6 +71,7 @@ class Presentation(Frozen):
 
     __slots__ = ("trame", "r", "k")
     _fields = ("trame", "r")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, trame: Trame, r: tuple[int, ...]):
         object.__setattr__(self, "trame", trame)
@@ -112,16 +114,6 @@ class AdequacyReport(Frozen):
         object.__setattr__(self, "associative", associative)
         object.__setattr__(self, "repro_witness", repro_witness)
         object.__setattr__(self, "assoc_witness", assoc_witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.reproductive, self.associative, self.repro_witness, self.assoc_witness)
-                == (other.reproductive, other.associative,
-                    other.repro_witness, other.assoc_witness))
-
-    def __hash__(self):
-        return hash((self.reproductive, self.associative, self.repro_witness, self.assoc_witness))
 
     def __bool__(self) -> bool:
         return self.reproductive and self.associative

@@ -50,6 +50,9 @@ def is_reflector_congruence(h: Hypergroup, eq: EquivalenceRelation) -> bool:
 
 
 class ReflectorCongruence(Frozen):
+    """eq, an equivalence on over's carrier that satisfies the saturation
+    identity. _proved(over, eq) skips that check."""
+
     __slots__ = _fields = ("over", "eq")
 
     def __init__(self, over: Hypergroup, eq: EquivalenceRelation):
@@ -57,23 +60,6 @@ class ReflectorCongruence(Frozen):
         object.__setattr__(self, "eq", eq)
         if not is_reflector_congruence(over, eq):
             raise ValueError("equivalence fails the saturation identity")
-
-    @classmethod
-    def _proved(cls, over: Hypergroup, eq: EquivalenceRelation) -> "ReflectorCongruence":
-        """A congruence whose identity the caller has already established;
-        skips the recheck in __init__."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "over", over)
-        object.__setattr__(c, "eq", eq)
-        return c
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.over, self.eq) == (other.over, other.eq)
-
-    def __hash__(self):
-        return hash((self.over, self.eq))
 
 
 def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
@@ -251,15 +237,6 @@ class SimplicityReport(Frozen):
         object.__setattr__(self, "invariant_count", invariant_count)
         object.__setattr__(self, "checked", checked)
         object.__setattr__(self, "witness", witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.simple, self.invariant_count, self.checked, self.witness)
-                == (other.simple, other.invariant_count, other.checked, other.witness))
-
-    def __hash__(self):
-        return hash((self.simple, self.invariant_count, self.checked, self.witness))
 
     def __bool__(self) -> bool:
         return self.simple

@@ -175,6 +175,21 @@ def test_s_family_validation():
         s_family((2, 0))
 
 
+def test_s_family_class_refuses_what_s_family_refuses():
+    for sizes, msg in (((), "need a first block of size >= 1"),
+                       ((0,), "need a first block of size >= 1"),
+                       ((2, 0), "block sizes must be >= 1"),
+                       ((3, -1), "block sizes must be >= 1")):
+        for build in (s_family, s_family_class):
+            with pytest.raises(ValueError) as err:
+                build(sizes)
+            assert str(err.value) == msg, (build, sizes)
+    # only the table is wider than the masks; its class is still known
+    assert s_family_class((65,)) is SFamilyClass.DHypergroup
+    with pytest.raises(CapExceeded):
+        s_family((65,))
+
+
 def test_s_family_names_and_layout():
     m = s_family((3, 4))
     assert m.names == ("e", "y1", "y2", "a1_1", "a1_2", "a1_3", "a1_4")

@@ -535,8 +535,10 @@ def value_examples():
          ("blocks_partition", "blocks_equipotent", "columns_equipotent")),
         (EquivalenceRelation((0, 1, 0)), EquivalenceRelation.from_labels((5, 2, 5)),
          total, ("class_of",)),
+        (EquivalenceRelation((0, 1, 0)), EquivalenceRelation._proved((0, 1, 0), (0b101, 0b010)),
+         ident, ("class_of",)),
         (s3, bare, cyclic_group(6), ("names", "table", "identity", "inverse", "perms")),
-        (Subgroup(s3, stab), Subgroup(bare, stab), Subgroup(s3, 1), ("parent", "mask")),
+        (Subgroup(s3, stab), Subgroup._proved(bare, stab), Subgroup(s3, 1), ("parent", "mask")),
         (UtumiInput(h, ident, 0), UtumiInput(Hypergroup.certify(c3), ident, 0),
          UtumiInput(h, EquivalenceRelation((0, 1, 1)), 0), ("base", "partition", "zero")),
         (UtumiAssociativity(True), UtumiAssociativity(True, None),
@@ -574,6 +576,8 @@ def test_value_types_ignore_derived_fields():
     e, f = EquivalenceRelation((0, 1, 0)), EquivalenceRelation((0, 1, 0))
     object.__setattr__(f, "class_masks", ())  # not compared, not hashed
     assert e == f and hash(e) == hash(f)
+    proved = EquivalenceRelation._proved((0, 1, 0), (0b101, 0b010))
+    assert (proved.k, proved.blocks()) == (e.k, e.blocks()) == (2, ((0, 2), (1,)))
 
 
 def test_hypergroup_differs_from_its_plain_table():

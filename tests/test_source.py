@@ -36,6 +36,31 @@ def test_no_function_local_imports():
     assert sorted(found) == []
 
 
+def test_value_semantics_are_defined_only_in_frozen():
+    # equality, hashing and the trusted constructor have one definition,
+    # core.Frozen's; Trame and Presentation go back to identity
+    value_methods = {"__eq__", "__hash__", "_proved"}
+    defined, assigned = [], []
+    for name, tree in library_trees():
+        owner = {id(node): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in value_methods):
+                defined.append(f"{name}:{owner.get(id(node))}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = {getattr(t, "id", getattr(t, "attr", None))
+                         for target in targets for t in ast.walk(target)}
+                if bound & value_methods:
+                    assigned.append(f"{name}:{owner.get(id(node))}: {ast.unparse(node)}")
+    assert sorted(defined) == ["core.py:Frozen.__eq__", "core.py:Frozen.__hash__",
+                               "core.py:Frozen._proved"]
+    identity = "__eq__, __hash__ = (object.__eq__, object.__hash__)"
+    assert sorted(assigned) == [f"presentations.py:Presentation: {identity}",
+                                f"presentations.py:Trame: {identity}"]
+
+
 def test_tracer_wrapped_names_exist():
     # the traced benchmark replay patches every WRAPPED name with getattr,
     # so a name that no longer exists crashes it
