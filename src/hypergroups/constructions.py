@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     CapExceeded,
     Hypergroup,
     Multistructure,
-    EquivalenceRelation,
     Frozen,
     check_carrier_size,
     is_group,
@@ -202,11 +201,8 @@ class UtumiInput(Frozen):
 
     __slots__ = _fields = ("base", "partition", "zero")
 
-    def __init__(self, base: Hypergroup, partition: EquivalenceRelation, zero: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "zero", zero)
-        h, eq, z = base, partition, zero
+    def _check(self):
+        h, eq, z = self.base, self.partition, self.zero
         if eq.n != h.n:
             raise UtumiInputError("partition carrier differs from base carrier")
         if not (0 <= z < h.n):
@@ -244,10 +240,7 @@ class UtumiAssociativity(Frozen):
     """associative, and when it fails the witness (x, class representative)."""
 
     __slots__ = _fields = ("associative", "witness")
-
-    def __init__(self, associative: bool, witness: Optional[tuple[int, int]] = None):
-        object.__setattr__(self, "associative", associative)
-        object.__setattr__(self, "witness", witness)
+    _defaults = (None,)
 
     def __bool__(self) -> bool:
         return self.associative

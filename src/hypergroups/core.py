@@ -40,20 +40,38 @@ class NotAHypergroup(ValueError):
 class Frozen:
     """Base of the library's immutable types.
 
-    A subclass names its fields in __slots__ and sets each one once in
-    __init__ with object.__setattr__; assigning or deleting a field
-    afterwards raises AttributeError. _fields are the parameters of
-    __init__, in order: repr shows them as Name(field=value, ...), and
-    copy and pickle rebuild an instance from them. Values compare and
-    hash over _fields, or over the subset a class declares as _compared,
-    and only against an instance of the same class.
+    A subclass names its slots in __slots__ and its parameters in
+    _fields. Construction is positional: the values fill _fields in
+    order, trailing _defaults fill the rightmost fields left out, and
+    then _check validates them or derives a further slot. Assigning or
+    deleting a field afterwards raises AttributeError. repr shows the
+    fields as Name(field=value, ...), and copy and pickle rebuild an
+    instance from them. Values compare and hash over _fields, or over
+    the subset a class declares as _compared, and only against an
+    instance of the same class.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__dict__.get("_compared", cls._fields))
+
+    def __init__(self, *values):
+        fields, defaults = self._fields, self._defaults
+        missing = len(fields) - len(values)
+        if not 0 <= missing <= len(defaults):
+            takes = f"{len(fields) - len(defaults)} to {len(fields)}" if defaults else len(fields)
+            raise TypeError(f"{type(self).__qualname__}() takes {takes} positional"
+                            f" arguments ({len(values)} given)")
+        values += defaults[len(defaults) - missing:]
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self):
+        """Validate the fields, or derive a further slot; by default nothing."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -66,7 +84,7 @@ class Frozen:
     @classmethod
     def _proved(cls, *values):
         """An instance whose checks the caller has already made: values
-        fill the class's own __slots__ in order, without running __init__."""
+        fill the class's own __slots__ in order, without running _check."""
         obj = object.__new__(cls)
         for name, value in zip(cls.__slots__, values, strict=True):
             object.__setattr__(obj, name, value)
@@ -110,9 +128,8 @@ class Multistructure(Frozen):
 
     __slots__ = _fields = ("names", "table")
 
-    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "table", table)
+    def _check(self):
+        names, table = self.names, self.table
         n = len(names)
         if n < 1:
             raise ValueError("carrier must be non-empty")
@@ -150,17 +167,7 @@ def product_of_sets(m: Multistructure, xmask: int, ymask: int) -> int:
 class AxiomReport(Frozen):
     __slots__ = _fields = ("associative", "reproductive", "all_products_nonempty",
                            "assoc_witness", "repro_witness", "empty_witness")
-
-    def __init__(self, associative: bool, reproductive: bool, all_products_nonempty: bool,
-                 assoc_witness: Optional[tuple[int, int, int]] = None,
-                 repro_witness: Optional[int] = None,
-                 empty_witness: Optional[tuple[int, int]] = None):
-        object.__setattr__(self, "associative", associative)
-        object.__setattr__(self, "reproductive", reproductive)
-        object.__setattr__(self, "all_products_nonempty", all_products_nonempty)
-        object.__setattr__(self, "assoc_witness", assoc_witness)
-        object.__setattr__(self, "repro_witness", repro_witness)
-        object.__setattr__(self, "empty_witness", empty_witness)
+    _defaults = (None, None, None)
 
     @property
     def is_hypergroup(self) -> bool:
@@ -256,12 +263,10 @@ class Hypergroup(Multistructure):
     __slots__ = ("report",)
     _fields = ("names", "table", "report")
 
-    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...],
-                 report: AxiomReport):
-        super().__init__(names, table)
-        object.__setattr__(self, "report", report)
-        if not report.is_hypergroup:
-            raise NotAHypergroup(report)
+    def _check(self):
+        super()._check()
+        if not self.report.is_hypergroup:
+            raise NotAHypergroup(self.report)
 
     @classmethod
     def certify(cls, m: Multistructure) -> "Hypergroup":
@@ -303,13 +308,10 @@ class Mapping(Frozen):
 
     __slots__ = _fields = ("dom", "cod", "image")
 
-    def __init__(self, dom: Multistructure, cod: Multistructure, image: tuple[int, ...]):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "image", image)
-        if len(image) != dom.n:
+    def _check(self):
+        if len(self.image) != self.dom.n:
             raise ValueError("image must assign every domain element")
-        if any(not (0 <= v < cod.n) for v in image):
+        if any(not (0 <= v < self.cod.n) for v in self.image):
             raise ValueError("image value out of codomain range")
 
     def img(self, dmask: int) -> int:
@@ -464,12 +466,6 @@ class CogroupReport(Frozen):
 
     __slots__ = _fields = ("blocks_partition", "blocks_equipotent", "columns_equipotent")
 
-    def __init__(self, blocks_partition: bool, blocks_equipotent: bool,
-                 columns_equipotent: bool):
-        object.__setattr__(self, "blocks_partition", blocks_partition)
-        object.__setattr__(self, "blocks_equipotent", blocks_equipotent)
-        object.__setattr__(self, "columns_equipotent", columns_equipotent)
-
     def __bool__(self) -> bool:
         return self.blocks_partition and self.blocks_equipotent
 
@@ -542,8 +538,8 @@ class EquivalenceRelation(Frozen):
     __slots__ = ("class_of", "class_masks")
     _fields = ("class_of",)
 
-    def __init__(self, class_of: tuple[int, ...]):
-        object.__setattr__(self, "class_of", class_of)
+    def _check(self):
+        class_of = self.class_of
         if not class_of:
             raise ValueError("relation over an empty carrier")
         if restricted_growth(class_of) != tuple(class_of):

@@ -34,15 +34,7 @@ class GroupTable(Frozen):
 
     __slots__ = _fields = ("names", "table", "identity", "inverse", "perms")
     _compared = ("names", "table", "identity", "inverse")
-
-    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...],
-                 identity: int, inverse: tuple[int, ...],
-                 perms: Optional[tuple[tuple[int, ...], ...]] = None):
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "perms", perms)
+    _defaults = (None,)
 
     @property
     def n(self) -> int:
@@ -217,15 +209,15 @@ def as_hypergroup(g: GroupTable):
 
 
 class Subgroup(Frozen):
-    """A subgroup of parent, as the mask of its elements; checked closed.
-    _proved(parent, mask) skips the O(|mask|^2) closure check."""
+    """A subgroup of parent, as the mask of its elements; checked in range
+    and closed. _proved(parent, mask) skips both checks."""
 
     __slots__ = _fields = ("parent", "mask")
 
-    def __init__(self, parent: GroupTable, mask: int):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "mask", mask)
-        g, m = parent, mask
+    def _check(self):
+        g, m = self.parent, self.mask
+        if m < 0 or m > g.full_mask:
+            raise GroupError("range", m)
         if not (m >> g.identity & 1):
             raise GroupError("identity not in subgroup")
         for x in members(m):

@@ -13,8 +13,6 @@ on the quotient's product triples.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import (
     Frozen,
     Hypergroup,
@@ -47,15 +45,13 @@ class Trame(Frozen):
     __slots__ = _fields = ("names", "op")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, names: tuple[str, ...], op: dict[tuple[int, int], int]):
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "op", op)
-        t_n = len(names)
+    def _check(self):
+        names, t_n = self.names, len(self.names)
         if t_n < 1:
             raise ValueError("trame carrier must be non-empty")
         if len(set(names)) != t_n or any(not s for s in names):
             raise ValueError("trame element names must be unique and non-empty")
-        for (u, v), w in op.items():
+        for (u, v), w in self.op.items():
             if not (0 <= u < t_n and 0 <= v < t_n and 0 <= w < t_n):
                 raise ValueError(f"op entry ({u},{v})->{w} out of range")
 
@@ -73,10 +69,9 @@ class Presentation(Frozen):
     _fields = ("trame", "r")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, trame: Trame, r: tuple[int, ...]):
-        object.__setattr__(self, "trame", trame)
-        object.__setattr__(self, "r", r)
-        if len(r) != trame.t_n:
+    def _check(self):
+        r = self.r
+        if len(r) != self.trame.t_n:
             raise ValueError("relation must label every trame element")
         if restricted_growth(r) != tuple(r):
             raise ValueError("class labels must be in restricted-growth order")
@@ -106,14 +101,7 @@ def quotient(p: Presentation) -> Multistructure:
 
 class AdequacyReport(Frozen):
     __slots__ = _fields = ("reproductive", "associative", "repro_witness", "assoc_witness")
-
-    def __init__(self, reproductive: bool, associative: bool,
-                 repro_witness: Optional[tuple[int, int]] = None,
-                 assoc_witness: Optional[tuple[int, int, int]] = None):
-        object.__setattr__(self, "reproductive", reproductive)
-        object.__setattr__(self, "associative", associative)
-        object.__setattr__(self, "repro_witness", repro_witness)
-        object.__setattr__(self, "assoc_witness", assoc_witness)
+    _defaults = (None, None)
 
     def __bool__(self) -> bool:
         return self.reproductive and self.associative

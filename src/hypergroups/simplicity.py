@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from itertools import chain, product, repeat
 from operator import or_
-from typing import Optional
 
 from .core import (
     CapExceeded,
@@ -55,10 +54,8 @@ class ReflectorCongruence(Frozen):
 
     __slots__ = _fields = ("over", "eq")
 
-    def __init__(self, over: Hypergroup, eq: EquivalenceRelation):
-        object.__setattr__(self, "over", over)
-        object.__setattr__(self, "eq", eq)
-        if not is_reflector_congruence(over, eq):
+    def _check(self):
+        if not is_reflector_congruence(self.over, self.eq):
             raise ValueError("equivalence fails the saturation identity")
 
 
@@ -230,13 +227,7 @@ class SimplicityReport(Frozen):
     the first proper invariant one, if any."""
 
     __slots__ = _fields = ("simple", "invariant_count", "checked", "witness")
-
-    def __init__(self, simple: bool, invariant_count: int, checked: int,
-                 witness: Optional[EquivalenceRelation | Subgroup] = None):
-        object.__setattr__(self, "simple", simple)
-        object.__setattr__(self, "invariant_count", invariant_count)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "witness", witness)
+    _defaults = (None,)
 
     def __bool__(self) -> bool:
         return self.simple

@@ -399,6 +399,17 @@ def test_cogroup_report(utumi_z8, sym3):
     assert not rep2.columns_equipotent
 
 
+def test_cogroup_report_failing_partition_clauses():
+    # row 0 of each table breaks one clause of blocks_partition
+    a, b, ab = 0b01, 0b10, 0b11
+    empty = Multistructure(("a", "b"), ((0, ab), (a, b)))  # 0.0 is empty
+    overlap = Multistructure(("a", "b"), ((a, ab), (a, b)))  # {a} meets {a, b}
+    short = Multistructure(("a", "b"), ((a, a), (a, b)))  # b is in no 0.y
+    got = [cogroup_report(m) for m in (empty, overlap, short)]
+    assert got == [CogroupReport(False, False, False), CogroupReport(False, False, False),
+                   CogroupReport(False, True, True)]
+
+
 def test_equivalence_relation_basics():
     with pytest.raises(ValueError):
         EquivalenceRelation((1, 0))  # not restricted-growth
@@ -620,6 +631,17 @@ def test_value_types_repr_names_fields_in_order():
     assert (repr(AdequacyReport(False, True, (0, 1)))
             == "AdequacyReport(reproductive=False, associative=True,"
                " repro_witness=(0, 1), assoc_witness=None)")
+
+
+def test_value_types_refuse_wrong_arity():
+    c3 = cyclic_ms(3)
+    s3 = symmetric_group(3)
+    for cls, values in ((AxiomReport, (True,)),
+                        (Multistructure, (c3.names, c3.table, None)),
+                        (GroupTable, (s3.names, s3.table, s3.identity, s3.inverse, s3.perms, None)),
+                        (Subgroup, (s3,))):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\b"):
+            cls(*values)
 
 
 def test_reports_are_truthy_exactly_when_they_hold():

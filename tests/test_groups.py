@@ -262,6 +262,17 @@ def test_subgroup_validation(z8, klein):
     assert e.value.kind == "closure"
 
 
+def test_subgroup_refuses_a_mask_outside_its_group():
+    # a bit past the carrier would index past the inverse table, and a
+    # negative mask has infinitely many members; both are refused first
+    g = cyclic_group(4)
+    for mask in (0b10001, -1):
+        for call in (Subgroup, overgroups, is_maximal):
+            with pytest.raises(GroupError) as e:
+                call(g, mask)
+            assert (e.value.kind, e.value.witness) == ("range", mask)
+
+
 def test_stabilizer_subgroup(sym3, z8):
     st0 = stabilizer_subgroup(sym3, 0)
     assert st0.mask == 0b000011

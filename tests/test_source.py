@@ -37,9 +37,10 @@ def test_no_function_local_imports():
 
 
 def test_value_semantics_are_defined_only_in_frozen():
-    # equality, hashing and the trusted constructor have one definition,
-    # core.Frozen's; Trame and Presentation go back to identity
-    value_methods = {"__eq__", "__hash__", "_proved"}
+    # construction, equality, hashing and the trusted constructor have one
+    # definition, core.Frozen's; Trame and Presentation go back to identity,
+    # and the other constructors belong to the two exception classes
+    value_methods = {"__init__", "__eq__", "__hash__", "_proved"}
     defined, assigned = [], []
     for name, tree in library_trees():
         owner = {id(node): cls.name for cls in ast.walk(tree)
@@ -55,7 +56,8 @@ def test_value_semantics_are_defined_only_in_frozen():
                 if bound & value_methods:
                     assigned.append(f"{name}:{owner.get(id(node))}: {ast.unparse(node)}")
     assert sorted(defined) == ["core.py:Frozen.__eq__", "core.py:Frozen.__hash__",
-                               "core.py:Frozen._proved"]
+                               "core.py:Frozen.__init__", "core.py:Frozen._proved",
+                               "core.py:NotAHypergroup.__init__", "groups.py:GroupError.__init__"]
     identity = "__eq__, __hash__ = (object.__eq__, object.__hash__)"
     assert sorted(assigned) == [f"presentations.py:Presentation: {identity}",
                                 f"presentations.py:Trame: {identity}"]
