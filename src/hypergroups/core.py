@@ -120,6 +120,15 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_mask(mask: int, n: int, error: type = ValueError) -> None:
+    """Refuse, with error("range", mask), a subset mask of an n-element
+    carrier that has a bit at n or above (it names an element past the
+    carrier) or is negative (it has infinitely many members): either way
+    mask >> n is not 0."""
+    if mask >> n:
+        raise error("range", mask)
+
+
 class Multistructure(Frozen):
     """A finite set with a multivalued binary operation.
 
@@ -155,6 +164,8 @@ class Multistructure(Frozen):
 
 def product_of_sets(m: Multistructure, xmask: int, ymask: int) -> int:
     """Set extension of the operation: union of x.y over x in X, y in Y."""
+    check_mask(xmask, m.n)
+    check_mask(ymask, m.n)
     out = 0
     table = m.table
     for x in members(xmask):

@@ -8,9 +8,10 @@ the parent's carrier. Everything here feeds the coset constructions.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .core import CapExceeded, Frozen, Hypergroup, Multistructure, mask_of, members
+from .core import (CapExceeded, Frozen, Hypergroup, Multistructure, check_mask, mask_of,
+                   members)
 
 DEFAULT_GROUP_CAP = 120
 
@@ -48,6 +49,27 @@ class GroupTable(Frozen):
         return (1 << self.n) - 1
 
 
+def greedy_generators(n: int, column: Callable[[int], list[int]]) -> dict[int, list[int]]:
+    """A generating set A of the n elements, each a with its column
+    column(a), the list of v.a over every v.
+
+    A is chosen greedily, adding the least element not yet reached, where
+    reached is A closed under right multiplication by A; for a group that
+    at least doubles the reached subgroup, so |A| <= log2 n + 1. The
+    columns are asked for in the order A is chosen, one per element of A.
+    """
+    cols, reached = {}, bytearray(n)
+    while (a := reached.find(0)) != -1:
+        cols[a] = column(a)
+        reached, todo = bytearray(n), list(cols)
+        while todo:
+            v = todo.pop()
+            if not reached[v]:
+                reached[v] = 1
+                todo += [c[v] for c in cols.values()]
+    return cols
+
+
 def verify_group(table: Sequence[Sequence[int]],
                  names: Optional[Sequence[str]] = None) -> GroupTable:
     """Check a univalent table for the group axioms.
@@ -58,11 +80,8 @@ def verify_group(table: Sequence[Sequence[int]],
     Associativity is Light's test (Clifford & Preston, The Algebraic
     Theory of Semigroups, vol. 1): the a with (xa)y = x(ay) for all x, y
     are closed under the product, so it suffices to check the a of a
-    generating set A. A is chosen greedily, adding the least element not
-    yet reached, where reached is A closed under right multiplication by
-    A; for a group that at least doubles the reached subgroup, so
-    |A| <= log2 n + 1. Only when the test fails are all n^3 triples
-    scanned, for the first bad one.
+    generating set A, the one greedy_generators picks. Only when the test
+    fails are all n^3 triples scanned, for the first bad one.
     """
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
@@ -72,16 +91,7 @@ def verify_group(table: Sequence[Sequence[int]],
             if not (0 <= table[x][y] < n):
                 raise GroupError("range", (x, y))
     lists = [list(row) for row in table]
-    gens, reached = [], bytearray(n)
-    while (a := reached.find(0)) != -1:
-        gens.append(a)
-        # reached: A closed under right multiplication by A
-        reached, todo = bytearray(n), list(gens)
-        while todo:
-            v = todo.pop()
-            if not reached[v]:
-                reached[v] = 1
-                todo += map(lists[v].__getitem__, gens)
+    gens = greedy_generators(n, lambda a: [row[a] for row in lists])
     if any(lists[tx[a]] != [tx[v] for v in lists[a]] for a in gens for tx in lists):
         # row by row: (xy)z over all z against x(yz); z only on a mismatch
         for x, tx in enumerate(lists):
@@ -126,6 +136,14 @@ def from_permutations(perms: Sequence[Sequence[int]]) -> GroupTable:
 
     Composition is (p*q)[i] = p[q[i]]. Elements are sorted
     lexicographically, which puts the identity first.
+
+    Only n.|A| compositions are made, v*a for every v and each a of the
+    greedy generating set A. They prove closure: a finite set closed
+    under right multiplication by a set that generates it is a group.
+    Column y of the table is then read off the column of its parent y'
+    in a tree of right multiplications from the identity, y = y'*a,
+    since x*y = (x*y')*a. On a composition outside the set, every pair
+    is composed in row-major order, for the first such pair.
     """
     ps = sorted({tuple(p) for p in perms})
     if not ps:
@@ -136,16 +154,24 @@ def from_permutations(perms: Sequence[Sequence[int]]) -> GroupTable:
             raise GroupError("range", p)
     index = {p: i for i, p in enumerate(ps)}
     n = len(ps)
-    table = []
-    for p in ps:
-        row = []
-        for q in ps:
-            r = tuple(map(p.__getitem__, q))
-            if r not in index:
-                raise GroupError("closure", (p, q))
-            row.append(index[r])
-        table.append(tuple(row))
-    g = verify_group(table, tuple(_perm_name(p) for p in ps))
+    try:
+        gens = greedy_generators(
+            n, lambda a: [index[tuple(map(p.__getitem__, ps[a]))] for p in ps])
+    except KeyError:
+        for p in ps:
+            for q in ps:
+                if tuple(map(p.__getitem__, q)) not in index:
+                    raise GroupError("closure", (p, q)) from None
+    cols = [None] * n
+    cols[0] = list(range(n))
+    tree = [0]
+    for y in tree:
+        for ca in gens.values():
+            z = ca[y]
+            if cols[z] is None:
+                cols[z] = list(map(ca.__getitem__, cols[y]))
+                tree.append(z)
+    g = verify_group(list(zip(*cols)), tuple(_perm_name(p) for p in ps))
     return GroupTable(g.names, g.table, g.identity, g.inverse, tuple(ps))
 
 
@@ -216,8 +242,7 @@ class Subgroup(Frozen):
 
     def _check(self):
         g, m = self.parent, self.mask
-        if m < 0 or m > g.full_mask:
-            raise GroupError("range", m)
+        check_mask(m, g.n, GroupError)
         if not (m >> g.identity & 1):
             raise GroupError("identity not in subgroup")
         for x in members(m):
@@ -243,6 +268,8 @@ def stabilizer_subgroup(g: GroupTable, point: int) -> Subgroup:
 
 
 def set_mult(g: GroupTable, amask: int, bmask: int) -> int:
+    check_mask(amask, g.n, GroupError)
+    check_mask(bmask, g.n, GroupError)
     out = 0
     bs = members(bmask)
     for a in members(amask):
@@ -263,6 +290,7 @@ def coset_mask(g: GroupTable, hmask: int, x: int, side: str) -> int:
 
 def generated(g: GroupTable, gens: int) -> int:
     """Mask of the subgroup generated by the masked elements."""
+    check_mask(gens, g.n, GroupError)
     acc = 1 << g.identity
     frontier = acc
     gs = members(gens)  # finite: each inverse is a power of its element
@@ -333,6 +361,8 @@ def is_invariant_modulo(g: GroupTable, hmask: int, kmask: int) -> bool:
     labelled by its coset yK, Kx lies in HxK when every label of k.x
     (k in K) is among those of h.x (h in H): O(n(|H| + |K|)) lookups.
     """
+    check_mask(hmask, g.n, GroupError)
+    check_mask(kmask, g.n, GroupError)
     if hmask & ~kmask:
         return False
     table = g.table

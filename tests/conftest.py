@@ -13,11 +13,12 @@ from hypergroups.core import (
     product_of_sets,
 )
 from hypergroups.groups import (
+    GroupError,
     GroupTable,
     Subgroup,
+    _perm_name,
     cyclic_group,
     dihedral_group,
-    from_permutations,
     set_mult,
     symmetric_group,
     verify_group,
@@ -228,6 +229,30 @@ def full_scan_group_check(table):
             return "inverse", x
         inverse.append(y)
     return "group", (e, tuple(inverse))
+
+
+def all_pairs_from_permutations(perms):
+    """from_permutations by composing all n^2 pairs, row by row; the first
+    pair whose composition is outside the set is the closure witness."""
+    ps = sorted({tuple(p) for p in perms})
+    if not ps:
+        raise GroupError("shape")
+    deg = len(ps[0])
+    for p in ps:
+        if len(p) != deg or sorted(p) != list(range(deg)):
+            raise GroupError("range", p)
+    index = {p: i for i, p in enumerate(ps)}
+    table = []
+    for p in ps:
+        row = []
+        for q in ps:
+            r = tuple(map(p.__getitem__, q))
+            if r not in index:
+                raise GroupError("closure", (p, q))
+            row.append(index[r])
+        table.append(tuple(row))
+    g = verify_group(table, tuple(_perm_name(p) for p in ps))
+    return GroupTable(g.names, g.table, g.identity, g.inverse, tuple(ps))
 
 
 # --- brute routes that no verb takes ------------------------------------------

@@ -181,6 +181,15 @@ def test_simple_coset_golden():
     assert r.returncode == 0 and json.loads(r.stdout)["simple"]
 
 
+def test_simple_coset_on_s6(capsys):
+    # the whole path at the largest group the cap allows: from_permutations,
+    # the stabilizer, the interval [H, G] and the invariance tests
+    import hypergroups.cli as cli
+    assert cli.main(["simple-coset", "sym:6", "stab:0", "--cap-group", "720"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ('{"simple":true,"subgroups_invariant":2,"witness":null}\n', "")
+
+
 def test_simple_coset_emits_the_library_report(monkeypatch, capsys):
     # the verb formats coset_simplicity_report and derives nothing itself
     import hypergroups.cli as cli

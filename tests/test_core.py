@@ -88,6 +88,17 @@ def test_product_of_sets_matches_set_oracle():
     assert frozenset(members(got)) == want
 
 
+def test_product_of_sets_refuses_a_mask_outside_the_carrier():
+    # -1 has infinitely many members and looped for ever; 1 << n indexed
+    # past the table
+    m = cyclic_ms(5)
+    for mask in (-1, 1 << m.n):
+        for xmask, ymask in ((mask, 1), (1, mask)):
+            with pytest.raises(ValueError) as e:
+                product_of_sets(m, xmask, ymask)
+            assert e.value.args == ("range", mask)
+
+
 def test_axioms_on_cyclic():
     rep = verify_axioms(cyclic_ms(6))
     assert rep.is_hypergroup

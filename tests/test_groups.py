@@ -1,5 +1,6 @@
 """Group verification, subgroup enumeration, and coset arithmetic."""
 
+import collections
 import itertools
 import random
 
@@ -29,9 +30,11 @@ from hypergroups.groups import (
     verify_group,
 )
 
+from hypergroups.constructions import s_family_group_realization
 from hypergroups.presentations import coset_relation, group_trame, is_invariant_modulo_equiv
 
 from conftest import (
+    all_pairs_from_permutations,
     alternating_subgroup,
     full_scan_group_check,
     naive_is_invariant_modulo,
@@ -186,6 +189,59 @@ def test_from_permutations_rejects_bad_input():
     assert e.value.kind == "closure"
 
 
+def from_permutations_outcome(build, perms):
+    try:
+        g = build(perms)
+    except GroupError as e:
+        return e.kind, e.witness
+    return g.names, g.table, g.identity, g.inverse, g.perms
+
+
+def cyclic_and_dihedral_permutations():
+    """C_m as the rotations of m points, D_m as rotations and reflections."""
+    for m in (1, 2, 3, 5, 8, 12):
+        rotations = [tuple((i + k) % m for i in range(m)) for k in range(m)]
+        yield rotations
+        yield rotations + [tuple((k - i) % m for i in range(m)) for k in range(m)]
+
+
+def test_from_permutations_matches_all_pairs_oracle():
+    groups = [symmetric_group(m, 720).perms for m in range(1, 7)]
+    groups.append([p for p in itertools.permutations(range(5)) if parity(p) == 0])
+    for sizes in {(n,) * b for n in range(1, 7) for b in range(1, 7)}:
+        try:
+            groups.append(s_family_group_realization(sizes, 720)[0].perms)
+        except CapExceeded:
+            continue
+    groups += cyclic_and_dihedral_permutations()
+    seen = set()
+    for perms in groups:
+        key = frozenset(perms)
+        if key in seen:
+            continue
+        seen.add(key)
+        want = from_permutations_outcome(all_pairs_from_permutations, perms)
+        assert len(want) == 5, want
+        assert from_permutations_outcome(from_permutations, perms) == want
+    assert len(seen) == 18
+
+
+def test_from_permutations_failures_match_all_pairs_oracle(sym4):
+    rng = random.Random(16)
+    ps = list(sym4.perms)
+    cases = [[], [(0, 0, 1)], [(1, 2)], [(0, 1), (0, 1, 2)], [(0, 1, 2), (0, 2)],
+             [(1, 0)], [(1, 2, 0)], [(0, 1, 2), (1, 2, 0)]]
+    for _ in range(300):
+        cases.append(rng.sample(ps, rng.randint(1, 24)))
+    cases += [[ps[i] for i in members(h.mask)] for h in subgroups(sym4)]
+    kinds = collections.Counter()
+    for perms in cases:
+        want = from_permutations_outcome(all_pairs_from_permutations, perms)
+        assert from_permutations_outcome(from_permutations, perms) == want, perms
+        kinds[want[0] if len(want) == 2 else "group"] += 1
+    assert kinds == {"closure": 292, "group": 41, "range": 4, "shape": 1}
+
+
 def test_symmetric_group_cap():
     assert symmetric_group(5).n == 120
     with pytest.raises(CapExceeded):
@@ -271,6 +327,27 @@ def test_subgroup_refuses_a_mask_outside_its_group():
             with pytest.raises(GroupError) as e:
                 call(g, mask)
             assert (e.value.kind, e.value.witness) == ("range", mask)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, m: set_mult(g, m, 1),
+    lambda g, m: set_mult(g, 1, m),
+    lambda g, m: coset_mask(g, m, 1, "right"),
+    lambda g, m: coset_mask(g, m, 1, "left"),
+    generated,
+    is_normal,
+    lambda g, m: is_invariant_modulo(g, m, g.full_mask),
+    lambda g, m: is_invariant_modulo(g, 1, m),
+], ids=["set_mult_a", "set_mult_b", "coset_mask_right", "coset_mask_left", "generated",
+        "is_normal", "is_invariant_modulo_h", "is_invariant_modulo_k"])
+def test_mask_arguments_outside_the_group_are_refused(call):
+    # -1 has infinitely many members, so is_normal looped for ever; 1 << n
+    # indexed past the table in generated
+    g = cyclic_group(4)
+    for mask in (-1, 1 << g.n):
+        with pytest.raises(GroupError) as e:
+            call(g, mask)
+        assert (e.value.kind, e.value.witness) == ("range", mask)
 
 
 def test_stabilizer_subgroup(sym3, z8):
