@@ -195,7 +195,8 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
     classes: {a b} {c}
 
     Blank lines and lines starting with # are skipped. The elements line
-    separates names by whitespace. The classes line defines the
+    separates names by whitespace, and a compose line is exactly the four
+    words u v -> w, so a name may contain '->'. The classes line defines the
     presentation's equivalence in the one partition syntax that --s and
     gen utumi read (see _read_blocks): blocks separated by whitespace
     and/or '|', names inside a block by whitespace or commas.
@@ -220,22 +221,16 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
         elif line.startswith("compose:"):
             if names is None:
                 raise ParseError(f"line {ln}: compose before elements")
-            body = line[len("compose:"):]
-            if "->" not in body:
+            words = line[len("compose:"):].split()
+            if len(words) != 4 or words[2] != "->":
                 raise ParseError(f"line {ln}: compose needs 'u v -> w'")
-            left, _, right = body.partition("->")
-            args = left.split()
-            target = right.split()
-            if len(args) != 2 or len(target) != 1:
-                raise ParseError(f"line {ln}: compose needs 'u v -> w'")
-            for s in args + target:
+            del words[2]
+            for s in words:
                 if s not in index:
                     raise ParseError(f"line {ln}: unknown element name {s!r}")
-            u, v, w = index[args[0]], index[args[1]], index[target[0]]
-            if (u, v) in op and op[u, v] != w:
-                raise ParseError(f"line {ln}: conflicting product for "
-                                 f"{args[0]} {args[1]}")
-            op[u, v] = w
+            u, v, w = (index[s] for s in words)
+            if op.setdefault((u, v), w) != w:
+                raise ParseError(f"line {ln}: conflicting product for {words[0]} {words[1]}")
         elif line.startswith("classes:"):
             if names is None:
                 raise ParseError(f"line {ln}: classes before elements")

@@ -466,46 +466,6 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
     return tuple(g) if assign(0) else None
 
 
-class CogroupReport(Frozen):
-    """Row-family structure of a multistructure.
-
-    blocks_partition: for every fixed x the distinct products {x.y : y}
-    form a partition of the carrier. blocks_equipotent: those products all
-    have the same size. columns_equipotent: for every fixed y the sizes
-    |x.y| agree across x (a necessary trait of coset structures).
-    """
-
-    __slots__ = _fields = ("blocks_partition", "blocks_equipotent", "columns_equipotent")
-
-    def __bool__(self) -> bool:
-        return self.blocks_partition and self.blocks_equipotent
-
-
-def cogroup_report(m: Multistructure) -> CogroupReport:
-    n, full = m.n, m.full_mask
-    partition = True
-    equipotent = True
-    for x in range(n):
-        blocks = sorted(set(m.table[x]))
-        if 0 in blocks:
-            partition = False
-        cover = 0
-        for e in blocks:
-            if cover & e:
-                partition = False
-            cover |= e
-        if cover != full:
-            partition = False
-        sizes = {e.bit_count() for e in m.table[x]}
-        if len(sizes) != 1:
-            equipotent = False
-    columns = all(
-        len({m.table[x][y].bit_count() for x in range(n)}) == 1
-        for y in range(n)
-    )
-    return CogroupReport(partition, equipotent, columns)
-
-
 def restricted_growth(labels: Iterable) -> tuple[int, ...]:
     """Renumber labels by first occurrence (the first is 0, each new one
     the previous maximum plus one); builds no masks, so any size works."""
@@ -569,14 +529,6 @@ class EquivalenceRelation(Frozen):
         return len(self.class_masks)
 
     @classmethod
-    def identity(cls, n: int) -> "EquivalenceRelation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def total(cls, n: int) -> "EquivalenceRelation":
-        return cls((0,) * n)
-
-    @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "EquivalenceRelation":
         """Relabel an arbitrary labeling into canonical form."""
         return cls(restricted_growth(labels))
@@ -605,17 +557,6 @@ class EquivalenceRelation(Frozen):
             if cm & mask:
                 out |= cm
         return out
-
-    def refines(self, other: "EquivalenceRelation") -> bool:
-        """True when every class of self lies inside a class of other."""
-        if self.n != other.n:
-            return False
-        image: dict[int, int] = {}
-        for i, lab in enumerate(self.class_of):
-            want = other.class_of[i]
-            if image.setdefault(lab, want) != want:
-                return False
-        return True
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(members(cm) for cm in self.class_masks)

@@ -41,9 +41,6 @@ class GroupTable(Frozen):
     def n(self) -> int:
         return len(self.names)
 
-    def mult(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1

@@ -6,9 +6,9 @@ from hypothesis import settings
 from hypergroups.core import (
     AxiomReport,
     EquivalenceRelation,
+    Frozen,
     Hypergroup,
     Multistructure,
-    cogroup_report,
     members,
     product_of_sets,
 )
@@ -258,6 +258,28 @@ def all_pairs_from_permutations(perms):
 # --- brute routes that no verb takes ------------------------------------------
 
 
+def identity_relation(n):
+    """The equivalence whose classes are single elements."""
+    return EquivalenceRelation(tuple(range(n)))
+
+
+def total_relation(n):
+    """The equivalence with one class."""
+    return EquivalenceRelation((0,) * n)
+
+
+def refines(a, b):
+    """True when every class of a lies inside a class of b."""
+    if a.n != b.n:
+        return False
+    image = {}
+    for i, lab in enumerate(a.class_of):
+        want = b.class_of[i]
+        if image.setdefault(lab, want) != want:
+            return False
+    return True
+
+
 def all_equivalences(n):
     """All equivalences on {0..n-1} in restricted-growth string order."""
     labels = [0] * n
@@ -273,6 +295,46 @@ def all_equivalences(n):
     if n == 0:
         return iter(())
     return rec(1, 1)
+
+
+class CogroupReport(Frozen):
+    """Row-family structure of a multistructure.
+
+    blocks_partition: for every fixed x the distinct products {x.y : y}
+    form a partition of the carrier. blocks_equipotent: those products all
+    have the same size. columns_equipotent: for every fixed y the sizes
+    |x.y| agree across x (a necessary trait of coset structures).
+    """
+
+    __slots__ = _fields = ("blocks_partition", "blocks_equipotent", "columns_equipotent")
+
+    def __bool__(self) -> bool:
+        return self.blocks_partition and self.blocks_equipotent
+
+
+def cogroup_report(m: Multistructure) -> CogroupReport:
+    n, full = m.n, m.full_mask
+    partition = True
+    equipotent = True
+    for x in range(n):
+        blocks = sorted(set(m.table[x]))
+        if 0 in blocks:
+            partition = False
+        cover = 0
+        for e in blocks:
+            if cover & e:
+                partition = False
+            cover |= e
+        if cover != full:
+            partition = False
+        sizes = {e.bit_count() for e in m.table[x]}
+        if len(sizes) != 1:
+            equipotent = False
+    columns = all(
+        len({m.table[x][y].bit_count() for x in range(n)}) == 1
+        for y in range(n)
+    )
+    return CogroupReport(partition, equipotent, columns)
 
 
 def is_cogroup(h):

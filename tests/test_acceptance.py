@@ -63,7 +63,7 @@ from hypergroups.simplicity import (
     reflets,
 )
 
-from conftest import alternating_subgroup, set_product, table_sets
+from conftest import alternating_subgroup, identity_relation, set_product, table_sets
 
 
 def report(num, label, ok):
@@ -337,7 +337,7 @@ def test_11_utumi_criterion_sufficient_not_necessary():
     ok = ok and instances >= 200 and criterion_true >= 3
     # converse fails: Z/2 with singleton classes never sums to H, yet simple
     z2 = as_hypergroup(cyclic_group(2))
-    data = UtumiInput(z2, EquivalenceRelation.identity(2), 0)
+    data = UtumiInput(z2, identity_relation(2), 0)
     ok = ok and not utumi_simplicity_criterion(data)
     ok = ok and is_simple(Hypergroup.certify(utumi(data)))
     assert report("11", "utumi criterion sufficiency", ok)

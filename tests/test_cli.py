@@ -583,6 +583,8 @@ def test_trame_roundtrip():
     fixtures.append((canon.trame, canon.r))
     for text in (TRAME_A, TRAME_B):
         fixtures.append(parse_trame(text))
+    # names that hold the arrow: a compose line is four words, not split at '->'
+    fixtures.append((Trame(("a->b", "->", "c"), {(0, 1): 1, (1, 1): 0, (2, 1): 2}), (0, 1, 0)))
     rng = random.Random(1)
     for _ in range(30):
         n = rng.randint(1, 6)

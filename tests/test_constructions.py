@@ -12,7 +12,6 @@ from hypergroups.core import (
     EquivalenceRelation,
     Hypergroup,
     Multistructure,
-    cogroup_report,
     find_isomorphism,
     is_group,
     mask_of,
@@ -46,7 +45,7 @@ from hypergroups.constructions import (
     utumi_simplicity_criterion,
 )
 
-from conftest import set_product, table_sets
+from conftest import cogroup_report, identity_relation, set_product, table_sets
 
 
 # --- coset structures -----------------------------------------------------------
@@ -342,7 +341,7 @@ def test_huge_realization_order_refused_at_once():
 
 def test_utumi_singleton_partition_is_the_base(sym3):
     base = as_hypergroup(sym3)
-    data = UtumiInput(base, EquivalenceRelation.identity(6), 0)
+    data = UtumiInput(base, identity_relation(6), 0)
     assert utumi(data) == base.m
     assert bool(utumi_is_associative(data))
 
@@ -363,21 +362,21 @@ def test_utumi_z8_table_against_modular_oracle(utumi_z8):
 def test_utumi_input_clause_errors(z8):
     base = as_hypergroup(z8)
     with pytest.raises(UtumiInputError, match="carrier"):
-        UtumiInput(base, EquivalenceRelation.identity(4), 0)
+        UtumiInput(base, identity_relation(4), 0)
     with pytest.raises(UtumiInputError, match="out of range"):
-        UtumiInput(base, EquivalenceRelation.identity(8), 9)
+        UtumiInput(base, identity_relation(8), 9)
     with pytest.raises(UtumiInputError, match="singleton"):
         UtumiInput(base, EquivalenceRelation.from_blocks(
             8, [[0, 1], [2, 3, 4, 5, 6, 7]]), 0)
     with pytest.raises(UtumiInputError, match="right-neutral"):
-        UtumiInput(base, EquivalenceRelation.identity(8), 1)
+        UtumiInput(base, identity_relation(8), 1)
     stab = stabilizer_hypergroup(3)
     with pytest.raises(UtumiInputError, match="inside the class"):
-        UtumiInput(stab, EquivalenceRelation.identity(3), 0)
+        UtumiInput(stab, identity_relation(3), 0)
     tilted = Multistructure(
         ("o", "p"), ((0b01, 0b01), (0b10, 0b11)))
     with pytest.raises(UtumiInputError, match="contain"):
-        UtumiInput(tilted, EquivalenceRelation.identity(2), 0)
+        UtumiInput(tilted, identity_relation(2), 0)
 
 
 def test_utumi_associativity_criterion_and_witness(z8):
@@ -445,11 +444,11 @@ def test_utumi_simplicity_criterion_values(z8, utumi_z8):
 def test_utumi_criterion_is_sufficient_only():
     from hypergroups.simplicity import is_simple
     z4 = as_hypergroup(cyclic_group(4))
-    singles4 = UtumiInput(z4, EquivalenceRelation.identity(4), 0)
+    singles4 = UtumiInput(z4, identity_relation(4), 0)
     assert not utumi_simplicity_criterion(singles4)
     assert not is_simple(Hypergroup.certify(utumi(singles4)))
     z2 = as_hypergroup(cyclic_group(2))
-    singles2 = UtumiInput(z2, EquivalenceRelation.identity(2), 0)
+    singles2 = UtumiInput(z2, identity_relation(2), 0)
     assert not utumi_simplicity_criterion(singles2)
     assert is_simple(Hypergroup.certify(utumi(singles2)))
 
@@ -474,4 +473,4 @@ def test_utumi_criterion_preconditions():
     assert is_group(loop) and not verify_axioms(loop).associative
     with pytest.raises(ValueError, match="associative"):
         utumi_simplicity_criterion(
-            UtumiInput(loop, EquivalenceRelation.identity(5), 0))
+            UtumiInput(loop, identity_relation(5), 0))

@@ -10,14 +10,12 @@ from hypothesis import given, settings, strategies as st
 from hypergroups.core import (
     AxiomReport,
     CapExceeded,
-    CogroupReport,
     EquivalenceRelation,
     Hypergroup,
     Mapping,
     Multistructure,
     NotAHypergroup,
     ParseError,
-    cogroup_report,
     find_isomorphism,
     from_json,
     is_group,
@@ -46,12 +44,17 @@ from hypergroups.presentations import AdequacyReport, Presentation, Trame
 from hypergroups.simplicity import ReflectorCongruence, SimplicityReport
 
 from conftest import (
+    CogroupReport,
     all_equivalences,
+    cogroup_report,
+    identity_relation,
     is_cogroup,
     naive_axiom_report,
     naive_is_reflector,
     set_product,
+    refines,
     table_sets,
+    total_relation,
 )
 
 
@@ -431,10 +434,10 @@ def test_equivalence_relation_basics():
     assert e.k == 3
     assert e.sat(mask_of([1, 2])) == mask_of([0, 1, 2])
     assert e.blocks() == ((0, 2), (1,), (3,))
-    assert EquivalenceRelation.identity(3).refines(EquivalenceRelation.total(3))
-    assert not EquivalenceRelation.total(3).refines(EquivalenceRelation.identity(3))
-    assert e.refines(EquivalenceRelation.total(4))
-    assert e.refines(e)
+    assert refines(identity_relation(3), total_relation(3))
+    assert not refines(total_relation(3), identity_relation(3))
+    assert refines(e, total_relation(4))
+    assert refines(e, e)
 
 
 def test_from_blocks_errors():
@@ -541,7 +544,7 @@ def value_examples():
     s3 = symmetric_group(3)
     bare = GroupTable(s3.names, s3.table, s3.identity, s3.inverse)  # equal: perms not compared
     stab = 0b11  # identity and the transposition fixing 0
-    ident, total = EquivalenceRelation.identity(3), EquivalenceRelation.total(3)
+    ident, total = identity_relation(3), total_relation(3)
     return [
         (c3, cyclic_ms(3), cyclic_ms(4), ("names", "table")),
         (h, Hypergroup(c3.names, c3.table, verify_axioms(c3)),

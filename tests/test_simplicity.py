@@ -52,6 +52,7 @@ from hypergroups.simplicity import (
 
 from conftest import (
     blocks_of,
+    identity_relation,
     naive_congruence_search,
     naive_is_invariant_modulo,
     naive_quotient_by,
@@ -59,6 +60,7 @@ from conftest import (
     saturate,
     set_product,
     table_sets,
+    total_relation,
 )
 
 
@@ -83,7 +85,7 @@ def test_saturation_identity_examples(z4h, utumi_z8):
     blocks = EquivalenceRelation.from_blocks(8, [[0], [1, 4, 7], [2, 3, 5, 6]])
     assert not is_reflector_congruence(utumi_z8, blocks)
     with pytest.raises(ValueError, match="carrier"):
-        is_reflector_congruence(z4h, EquivalenceRelation.total(5))
+        is_reflector_congruence(z4h, total_relation(5))
 
 
 def test_congruence_revalidation(z4h):
@@ -262,12 +264,12 @@ def test_meet_of_two_congruences_need_not_be_one():
 
 def test_quotient_by_identity_reproduces(z8h):
     for h in (z8h, stabilizer_hypergroup(4)):
-        c = ReflectorCongruence(h, EquivalenceRelation.identity(h.n))
+        c = ReflectorCongruence(h, identity_relation(h.n))
         assert quotient_by(h, c).m == h.m
 
 
 def test_quotient_by_total_is_trivial(z8h):
-    c = ReflectorCongruence(z8h, EquivalenceRelation.total(8))
+    c = ReflectorCongruence(z8h, total_relation(8))
     q = quotient_by(z8h, c)
     assert q.n == 1 and q.names == ("0",) and q.table == ((1,),)
 

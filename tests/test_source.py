@@ -1,17 +1,40 @@
 """Properties of the library's source text."""
 
 import ast
+import collections
 import importlib
 import pathlib
+import re
 import subprocess
 import sys
 
 import hypergroups
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 
 def library_trees():
     for path in sorted(pathlib.Path(hypergroups.__file__).parent.glob("*.py")):
         yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def tracer_wrapped():
+    """perfbench/tracer.py's WRAPPED: layer -> the names it patches."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"])
+
+
+def identifiers(tree):
+    """Every identifier the code reads or binds, by name only."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
 
 
 def test_no_assert_statements_in_library():
@@ -66,15 +89,53 @@ def test_value_semantics_are_defined_only_in_frozen():
 def test_tracer_wrapped_names_exist():
     # the traced benchmark replay patches every WRAPPED name with getattr,
     # so a name that no longer exists crashes it
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    wrapped = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"])
+    wrapped = tracer_wrapped()
     missing = [f"{mod}.{name}" for mod, names in wrapped.items() for name in names
                if not callable(getattr(importlib.import_module(f"hypergroups.{mod}"),
                                        name, None))]
     assert len(wrapped) == 6 and missing == []
+
+
+def test_public_names_are_reached_outside_the_tests():
+    # every public top-level name of the library, and every public method of
+    # its classes, is reached outside its own definition: from the library,
+    # scripts/*.py, perfbench/*.py (WRAPPED names some by string) or a code
+    # span of README.md; what only the tests reach belongs in tests/.
+    # Names are matched as identifiers, not resolved: a method counts as
+    # reached when any name or attribute anywhere is spelled like it, so
+    # EquivalenceRelation.identity and .total would pass through
+    # GroupTable.identity and a local variable total. An allowed name that
+    # is reached, or no longer defined, fails too.
+    allowed = {
+        "groups.is_normal": "the paper's group-side vocabulary",
+        "groups.is_maximal": "the paper's group-side vocabulary",
+        "core.Mapping.pre": "goes to the tests with Mapping once the tracer stops wrapping is_reflector",
+    }
+    trees = dict(library_trees())
+    reached = collections.Counter(name for tree in trees.values() for name in identifiers(tree))
+    for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        reached.update(identifiers(ast.parse(path.read_text(encoding="utf-8"))))
+    reached.update(name for names in tracer_wrapped().values() for name in names)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").split("```")
+    spans = readme[1::2] + [span for text in readme[0::2] for span in text.split("`")[1::2]]
+    reached.update(re.findall(r"\w+", " ".join(spans)))
+    unreached = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(node.name, node)] + [(f"{node.name}.{m.name}", m) for m in node.body
+                                              if isinstance(m, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.Assign):
+                defs = [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                defs = []
+            for qualname, d in defs:
+                name = qualname.rpartition(".")[2]
+                if not name.startswith("_") and reached[name] == list(identifiers(d)).count(name):
+                    unreached.append(f"{file[:-3]}.{qualname}")
+    assert sorted(unreached) == sorted(allowed)
 
 
 def test_runtime_imports_only_the_standard_library():
