@@ -16,6 +16,7 @@ from hypergroups.core import (
 )
 from hypergroups.groups import (
     as_hypergroup,
+    coset_relation,
     cyclic_group,
     stabilizer_subgroup,
     subgroups,
@@ -34,7 +35,6 @@ from hypergroups.constructions import (
 from hypergroups.core import EquivalenceRelation
 from hypergroups.presentations import (
     Presentation,
-    coset_relation,
     group_trame,
     is_adequate,
     presentation_simplicity,

@@ -32,6 +32,7 @@ from .groups import (
     GroupTable,
     Subgroup,
     check_group_order,
+    coset_relation,
     from_permutations,
     stabilizer_subgroup,
 )
@@ -39,14 +40,13 @@ from .presentations import (
     DEFAULT_TRAME_CAP,
     Presentation,
     Trame,
-    coset_relation,
 )
 
 
 def _coset_structure(g: GroupTable, h: Subgroup, side: str) -> Hypergroup:
     # the group's multiplication read on cosets, named xH or Hx after
     # their least members: the products of whole cosets are all x.y
-    if h.parent is not g:
+    if h.parent != g:
         raise ValueError("subgroup belongs to a different group")
     form = "{}H" if side == "right" else "H{}"
     triples = (((x, y), w) for x, row in enumerate(g.table) for y, w in enumerate(row))

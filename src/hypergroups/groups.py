@@ -139,8 +139,9 @@ def from_permutations(perms: Sequence[Sequence[int]]) -> GroupTable:
     under right multiplication by a set that generates it is a group.
     Column y of the table is then read off the column of its parent y'
     in a tree of right multiplications from the identity, y = y'*a,
-    since x*y = (x*y')*a. On a composition outside the set, every pair
-    is composed in row-major order, for the first such pair.
+    since x*y = (x*y')*a, and y^-1 is the row of 0 in it; the table is
+    not checked again. On a composition outside the set, every pair is
+    composed in row-major order, for the first such pair.
     """
     ps = sorted({tuple(p) for p in perms})
     if not ps:
@@ -168,8 +169,9 @@ def from_permutations(perms: Sequence[Sequence[int]]) -> GroupTable:
             if cols[z] is None:
                 cols[z] = list(map(ca.__getitem__, cols[y]))
                 tree.append(z)
-    g = verify_group(list(zip(*cols)), tuple(_perm_name(p) for p in ps))
-    return GroupTable(g.names, g.table, g.identity, g.inverse, tuple(ps))
+    names = tuple(_perm_name(p) for p in ps)
+    return GroupTable._proved(names, tuple(zip(*cols)), 0,
+                              tuple(col.index(0) for col in cols), tuple(ps))
 
 
 def check_group_order(order: int, cap: int, shown: object = None) -> None:
@@ -264,25 +266,21 @@ def stabilizer_subgroup(g: GroupTable, point: int) -> Subgroup:
     return Subgroup(g, m)
 
 
-def set_mult(g: GroupTable, amask: int, bmask: int) -> int:
-    check_mask(amask, g.n, GroupError)
-    check_mask(bmask, g.n, GroupError)
-    out = 0
-    bs = members(bmask)
-    for a in members(amask):
-        row = g.table[a]
-        for b in bs:
-            out |= 1 << row[b]
-    return out
-
-
-def coset_mask(g: GroupTable, hmask: int, x: int, side: str) -> int:
-    """side "right": the coset xH; side "left": the coset Hx."""
-    if side == "right":
-        return set_mult(g, 1 << x, hmask)
-    if side == "left":
-        return set_mult(g, hmask, 1 << x)
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+def coset_relation(g: GroupTable, kmask: int, side: str) -> tuple[int, ...]:
+    """Labels of the cosets yK (side "right") or Ky (side "left") of a
+    subgroup K, numbered in least-element order: one pass over y gives the
+    coset of each unlabelled y the next label."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    check_mask(kmask, g.n, GroupError)
+    table, ks = g.table, members(kmask)
+    labels, top = [-1] * g.n, 0
+    for y in range(g.n):
+        if labels[y] == -1:  # y is the least member of its coset
+            for z in ([table[y][k] for k in ks] if side == "right" else [table[k][y] for k in ks]):
+                labels[z] = top
+            top += 1
+    return tuple(labels)
 
 
 def generated(g: GroupTable, gens: int) -> int:
@@ -309,24 +307,25 @@ def overgroups(g: GroupTable, hmask: int,
 
     Cyclic extension from H (Neubüser's method): each subgroup above H is
     <K, x> for a smaller one K in the interval, and every element of the
-    coset Kx (a left coset, as coset_mask names sides) gives the same
-    <K, x>, so one x per coset is tried. H gets Subgroup's full check;
-    every other mask comes from generated, closed by construction.
+    left coset Kx gives the same <K, x>, so one x per coset is tried, its
+    least member, outside K itself. H gets Subgroup's full check; every
+    other mask comes from generated, closed by construction.
     """
     check_group_order(g.n, cap)
     found = {Subgroup(g, hmask).mask: hmask}  # subgroup -> generators of it
     todo = [hmask]
     while todo:
         km = todo.pop()
-        rest = g.full_mask & ~km
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= ~set_mult(g, km, 1 << x)
-            gens = found[km] | 1 << x
-            ext = generated(g, gens)
-            if ext not in found:
-                found[ext] = gens
-                todo.append(ext)
+        top = 0
+        for x, c in enumerate(coset_relation(g, km, "left")):
+            if c == top:  # x is the least member of Kx
+                top += 1
+                if not km >> x & 1:
+                    gens = found[km] | 1 << x
+                    ext = generated(g, gens)
+                    if ext not in found:
+                        found[ext] = gens
+                        todo.append(ext)
     return tuple(Subgroup._proved(g, m)
                  for m in sorted(found, key=lambda m: (m.bit_count(), m)))
 
@@ -337,8 +336,8 @@ def subgroups(g: GroupTable, cap: int = DEFAULT_GROUP_CAP) -> tuple[Subgroup, ..
 
 
 def is_normal(g: GroupTable, hmask: int) -> bool:
-    return all(coset_mask(g, hmask, x, "right") == coset_mask(g, hmask, x, "left")
-               for x in range(g.n))
+    """xH = Hx for every x; H must be a subgroup."""
+    return coset_relation(g, hmask, "right") == coset_relation(g, hmask, "left")
 
 
 def is_maximal(g: GroupTable, hmask: int, cap: int = DEFAULT_GROUP_CAP) -> bool:
@@ -364,12 +363,7 @@ def is_invariant_modulo(g: GroupTable, hmask: int, kmask: int) -> bool:
         return False
     table = g.table
     hs, ks = members(hmask), members(kmask)
-    label = [0] * g.n  # label[z]: the coset zK, as the bit of its least member
-    for y in range(g.n):
-        if not label[y]:  # y is the least member of yK
-            row, bit = table[y], 1 << y
-            for k in ks:
-                label[row[k]] = bit
+    label = [1 << c for c in coset_relation(g, kmask, "right")]  # label[z]: zK, as a bit
     for x in range(g.n):
         seen = 0
         for h in hs:

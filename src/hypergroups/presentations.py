@@ -17,13 +17,11 @@ from .core import (
     Frozen,
     Hypergroup,
     Multistructure,
-    members,
     quotient_table,
     restricted_growth,
     saturation_identity,
     verify_axioms,
 )
-from .groups import coset_mask
 from .simplicity import (
     DEFAULT_SIMPLICITY_CAP,
     SimplicityReport,
@@ -81,16 +79,6 @@ class Presentation(Frozen):
 def group_trame(g) -> Trame:
     """A group's full multiplication as a (total) trame."""
     return Trame(g.names, {(x, y): w for x, row in enumerate(g.table) for y, w in enumerate(row)})
-
-
-def coset_relation(g, hmask: int, side: str) -> tuple[int, ...]:
-    """Labels of the coset partition, numbered in least-element order."""
-    labels = [-1] * g.n
-    for x in range(g.n):
-        if labels[x] == -1:  # x is the least member of its coset
-            for y in members(coset_mask(g, hmask, x, side)):
-                labels[y] = x
-    return restricted_growth(labels)
 
 
 def quotient(p: Presentation) -> Multistructure:

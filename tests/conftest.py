@@ -9,8 +9,10 @@ from hypergroups.core import (
     Frozen,
     Hypergroup,
     Multistructure,
+    check_mask,
     members,
     product_of_sets,
+    restricted_growth,
 )
 from hypergroups.groups import (
     GroupError,
@@ -19,7 +21,6 @@ from hypergroups.groups import (
     _perm_name,
     cyclic_group,
     dihedral_group,
-    set_mult,
     symmetric_group,
     verify_group,
 )
@@ -189,6 +190,37 @@ def naive_is_maximal(g, hmask, all_masks):
     """Proper, and no subgroup of the whole lattice strictly between."""
     return hmask != g.full_mask and not any(
         m not in (hmask, g.full_mask) and m & hmask == hmask for m in all_masks)
+
+
+def set_mult(g: GroupTable, amask: int, bmask: int) -> int:
+    check_mask(amask, g.n, GroupError)
+    check_mask(bmask, g.n, GroupError)
+    out = 0
+    bs = members(bmask)
+    for a in members(amask):
+        row = g.table[a]
+        for b in bs:
+            out |= 1 << row[b]
+    return out
+
+
+def coset_mask(g: GroupTable, hmask: int, x: int, side: str) -> int:
+    """side "right": the coset xH; side "left": the coset Hx."""
+    if side == "right":
+        return set_mult(g, 1 << x, hmask)
+    if side == "left":
+        return set_mult(g, hmask, 1 << x)
+    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+
+
+def naive_coset_relation(g, hmask: int, side: str) -> tuple[int, ...]:
+    """Labels of the coset partition, numbered in least-element order."""
+    labels = [-1] * g.n
+    for x in range(g.n):
+        if labels[x] == -1:  # x is the least member of its coset
+            for y in members(coset_mask(g, hmask, x, side)):
+                labels[y] = x
+    return restricted_growth(labels)
 
 
 def naive_is_invariant_modulo(g, hmask, kmask):

@@ -27,6 +27,7 @@ from hypergroups.core import (
 from hypergroups.groups import (
     Subgroup,
     as_hypergroup,
+    coset_relation,
     cyclic_group,
     dihedral_group,
     is_normal,
@@ -51,7 +52,6 @@ from hypergroups.constructions import (
 from hypergroups.presentations import (
     Presentation,
     Trame,
-    coset_relation,
     group_trame,
     is_adequate,
     presentation_simplicity,

@@ -9,8 +9,9 @@ import pytest
 from hypergroups.cli import format_trame, parse_trame
 from hypergroups.constructions import canonical_presentation, s_family
 from hypergroups.core import Multistructure, restricted_growth, to_json
-from hypergroups.groups import Subgroup, as_hypergroup, cyclic_group, symmetric_group
-from hypergroups.presentations import Trame, coset_relation, group_trame
+from hypergroups.groups import (Subgroup, as_hypergroup, coset_relation, cyclic_group,
+                                symmetric_group)
+from hypergroups.presentations import Trame, group_trame
 from hypergroups.simplicity import SimplicityReport
 
 STAB3 = ('{"elements":["e","y1","y2"],"table":[[["e"],["y1","y2"],["y1","y2"]],'

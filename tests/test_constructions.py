@@ -115,6 +115,16 @@ def test_subgroup_of_wrong_parent_rejected(sym3, dih8):
         left_coset_hypergroup(sym3, Subgroup(dih8, 0b1))
 
 
+def test_subgroup_parent_is_compared_by_value():
+    # an equal group built twice is the same group; a group of the same
+    # order that is not equal is still refused
+    g, again = symmetric_group(3), symmetric_group(3)
+    stab = stabilizer_subgroup(again, 0)
+    assert right_coset_hypergroup(g, stab) == right_coset_hypergroup(again, stab)
+    with pytest.raises(ValueError, match="subgroup belongs to a different group"):
+        right_coset_hypergroup(g, Subgroup(cyclic_group(6), 0b1001))
+
+
 def test_coset_structure_theorems(sym3, dih8, z8):
     # right version univalent iff normal, the opposite of the right
     # version matches the left version, and left is isomorphic to right

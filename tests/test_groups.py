@@ -7,13 +7,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypergroups import groups
 from hypergroups.core import CapExceeded, mask_of, members
 from hypergroups.groups import (
     GroupError,
     Subgroup,
     as_hypergroup,
     check_group_order,
-    coset_mask,
+    coset_relation,
     cyclic_group,
     dihedral_group,
     from_permutations,
@@ -22,7 +23,6 @@ from hypergroups.groups import (
     is_maximal,
     is_normal,
     overgroups,
-    set_mult,
     stabilizer_subgroup,
     subgroups,
     symmetric_group,
@@ -31,16 +31,19 @@ from hypergroups.groups import (
 )
 
 from hypergroups.constructions import s_family_group_realization
-from hypergroups.presentations import coset_relation, group_trame, is_invariant_modulo_equiv
+from hypergroups.presentations import group_trame, is_invariant_modulo_equiv
 
 from conftest import (
     all_pairs_from_permutations,
     alternating_subgroup,
+    coset_mask,
     full_scan_group_check,
+    naive_coset_relation,
     naive_is_invariant_modulo,
     naive_is_maximal,
     naive_overgroup_masks,
     parity,
+    set_mult,
 )
 
 
@@ -334,11 +337,14 @@ def test_subgroup_refuses_a_mask_outside_its_group():
     lambda g, m: set_mult(g, 1, m),
     lambda g, m: coset_mask(g, m, 1, "right"),
     lambda g, m: coset_mask(g, m, 1, "left"),
+    lambda g, m: coset_relation(g, m, "right"),
+    lambda g, m: coset_relation(g, m, "left"),
     generated,
     is_normal,
     lambda g, m: is_invariant_modulo(g, m, g.full_mask),
     lambda g, m: is_invariant_modulo(g, 1, m),
-], ids=["set_mult_a", "set_mult_b", "coset_mask_right", "coset_mask_left", "generated",
+], ids=["set_mult_a", "set_mult_b", "coset_mask_right", "coset_mask_left",
+        "coset_relation_right", "coset_relation_left", "generated",
         "is_normal", "is_invariant_modulo_h", "is_invariant_modulo_k"])
 def test_mask_arguments_outside_the_group_are_refused(call):
     # -1 has infinitely many members, so is_normal looped for ever; 1 << n
@@ -389,6 +395,24 @@ def test_cosets_partition_carrier(sym3, dih8):
                         assert c & seen == c  # equal or disjoint
                     seen |= c
                 assert seen == g.full_mask
+
+
+def test_coset_relation_matches_coset_masks(sym3, dih8, sym4, dih12):
+    # the one coset kernel against a set product per element, both sides,
+    # and normality against the cosets compared one x at a time
+    cases = 0
+    for g in (sym3, dih8, sym4, dih12, cyclic_group(12), dihedral_group(15)):
+        for s in subgroups(g):
+            for side in ("right", "left"):
+                assert coset_relation(g, s.mask, side) == naive_coset_relation(g, s.mask, side), \
+                    (g.names, s.mask, side)
+                cases += 1
+            assert is_normal(g, s.mask) == all(
+                coset_mask(g, s.mask, x, "right") == coset_mask(g, s.mask, x, "left")
+                for x in range(g.n))
+            with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'middle'"):
+                coset_relation(g, s.mask, "middle")
+    assert cases == 2 * (6 + 10 + 30 + 16 + 6 + 28)
 
 
 def test_set_mult_against_perm_oracle(sym3):
@@ -475,6 +499,34 @@ def test_overgroups_members_pass_the_full_subgroup_check(sym4, dih12):
         for h in subgroups(g):
             for k in overgroups(g, h.mask):
                 assert k.parent is g and Subgroup(g, k.mask) == k
+
+
+def test_overgroups_generated_call_counts(sym4, dih12):
+    # pinned: overgroups tries one x per left coset Kx; trying every x
+    # outside K gives the same interval with more calls, and only these
+    # counts can see it
+    def calls(g, hmask):
+        count = 0
+        closure = groups.generated
+
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return closure(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups, "generated", counted)
+            overgroups(g, hmask)
+        return count
+
+    sym5 = symmetric_group(5)
+    for g, hmask, want in ((sym4, 1 << sym4.identity, 204),
+                           (sym4, stabilizer_subgroup(sym4, 0).mask, 3),
+                           (sym5, 1 << sym5.identity, 4169),
+                           (sym5, stabilizer_subgroup(sym5, 0).mask, 4),
+                           (dih12, 1 << dih12.identity, 58),
+                           (cyclic_group(48), 1, 114)):
+        assert calls(g, hmask) == want, (g.n, hmask)
 
 
 def test_overgroups_refuse_non_subgroups_and_oversized_groups(sym3):

@@ -16,6 +16,7 @@ from hypergroups.core import (
 from hypergroups.groups import (
     Subgroup,
     as_hypergroup,
+    coset_relation,
     cyclic_group,
     is_invariant_modulo,
     stabilizer_subgroup,
@@ -25,7 +26,6 @@ from hypergroups.groups import (
 from hypergroups.presentations import (
     Presentation,
     Trame,
-    coset_relation,
     group_trame,
     is_adequate,
     is_invariant_modulo_equiv,
