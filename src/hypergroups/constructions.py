@@ -45,13 +45,19 @@ from .presentations import (
 
 def _coset_structure(g: GroupTable, h: Subgroup, side: str) -> Hypergroup:
     # the group's multiplication read on cosets, named xH or Hx after
-    # their least members: the products of whole cosets are all x.y
+    # their least members. x.(y.h) and (h.x).y lie in the coset of x.y, so
+    # every x times each least y (on xH), or each least x times every y
+    # (on Hx), gives every product of cosets: n.k triples, k the index
     if h.parent != g:
         raise ValueError("subgroup belongs to a different group")
-    form = "{}H" if side == "right" else "H{}"
-    triples = (((x, y), w) for x, row in enumerate(g.table) for y, w in enumerate(row))
+    labels, least, table = coset_relation(g, h.mask, side), [], g.table
+    for x, c in enumerate(labels):
+        if c == len(least):  # x is the least member of its coset
+            least.append(x)
+    form, xs, ys = ("{}H", range(g.n), least) if side == "right" else ("H{}", least, range(g.n))
+    triples = (((x, y), table[x][y]) for x in xs for y in ys)
     return Hypergroup.certify(quotient_table(tuple(form.format(s) for s in g.names),
-                                             triples, coset_relation(g, h.mask, side)))
+                                             triples, labels))
 
 
 def right_coset_hypergroup(g: GroupTable, h: Subgroup) -> Hypergroup:
@@ -71,10 +77,7 @@ def stabilizer_hypergroup(alpha: int) -> Hypergroup:
 
     Coincides with s_family((alpha,)) after certification.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    m = s_family((alpha,))
-    return Hypergroup.certify(m)
+    return Hypergroup.certify(s_family((alpha,)))
 
 
 def _s_family_sizes(sizes: Sequence[int]) -> tuple[int, ...]:

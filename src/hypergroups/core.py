@@ -269,23 +269,24 @@ def verify_axioms(m: Multistructure) -> AxiomReport:
 
 
 class Hypergroup(Multistructure):
-    """A multistructure that carries its verification certificate."""
+    """A multistructure that passes verify_axioms; construction raises
+    NotAHypergroup, with the failing report, on a table that does not."""
 
-    __slots__ = ("report",)
-    _fields = ("names", "table", "report")
+    __slots__ = ()
 
     def _check(self):
         super()._check()
-        if not self.report.is_hypergroup:
-            raise NotAHypergroup(self.report)
+        report = verify_axioms(self)
+        if not report.is_hypergroup:
+            raise NotAHypergroup(report)
 
     @classmethod
     def certify(cls, m: Multistructure) -> "Hypergroup":
-        return cls(m.names, m.table, verify_axioms(m))
+        return cls(m.names, m.table)
 
     @property
     def m(self) -> Multistructure:
-        """The plain table, without the report."""
+        """The plain table."""
         return Multistructure(self.names, self.table)
 
 

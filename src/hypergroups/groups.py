@@ -27,15 +27,61 @@ class GroupError(ValueError):
 
 
 class GroupTable(Frozen):
-    """A verified finite group: table[x][y] is the index of x*y.
+    """A finite group: table[x][y] is the index of x*y.
 
-    perms, the permutation realization when there is one, is left out of
-    == and hash.
+    Construction raises GroupError, its kind naming the first check that
+    fails: shape, entry range, associativity (lexicographically first bad
+    triple), two-sided identity, inverses, the length of names. identity
+    and inverse are derived, and left out of ==, hash and repr; perms,
+    the permutation realization when there is one, out of == and hash.
+
+    Associativity is Light's test (Clifford & Preston, The Algebraic
+    Theory of Semigroups, vol. 1): the a with (xa)y = x(ay) for all x, y
+    are closed under the product, so it suffices to check the a of a
+    generating set A, the one greedy_generators picks. Only when the test
+    fails are all n^3 triples scanned, for the first bad one.
     """
 
-    __slots__ = _fields = ("names", "table", "identity", "inverse", "perms")
-    _compared = ("names", "table", "identity", "inverse")
+    __slots__ = ("names", "table", "identity", "inverse", "perms")
+    _fields = ("names", "table", "perms")
+    _compared = ("names", "table")
     _defaults = (None,)
+
+    def _check(self):
+        table = self.table
+        n = len(table)
+        if n == 0 or any(len(row) != n for row in table):
+            raise GroupError("shape")
+        for x in range(n):
+            for y in range(n):
+                if not (0 <= table[x][y] < n):
+                    raise GroupError("range", (x, y))
+        lists = [list(row) for row in table]
+        gens = greedy_generators(n, lambda a: [row[a] for row in lists])
+        if any(lists[tx[a]] != [tx[v] for v in lists[a]] for a in gens for tx in lists):
+            # row by row: (xy)z over all z against x(yz); z only on a mismatch
+            for x, tx in enumerate(lists):
+                for y, ty in enumerate(lists):
+                    left = lists[tx[y]]
+                    if left != [tx[v] for v in ty]:
+                        z = next(z for z in range(n) if left[z] != tx[ty[z]])
+                        raise GroupError("associativity", (x, y, z))
+        identity = next((e for e in range(n)
+                         if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
+        if identity is None:
+            raise GroupError("identity")
+        inverse = [-1] * n
+        for x in range(n):
+            for y in range(n):
+                if table[x][y] == identity and table[y][x] == identity:
+                    inverse[x] = y
+                    break
+            if inverse[x] == -1:
+                raise GroupError("inverse", x)
+        if len(self.names) != n:
+            raise GroupError("names")
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", tuple(inverse))
 
     @property
     def n(self) -> int:
@@ -69,57 +115,10 @@ def greedy_generators(n: int, column: Callable[[int], list[int]]) -> dict[int, l
 
 def verify_group(table: Sequence[Sequence[int]],
                  names: Optional[Sequence[str]] = None) -> GroupTable:
-    """Check a univalent table for the group axioms.
-
-    Failure order: shape, entry range, associativity (lexicographically
-    first bad triple), two-sided identity, inverses.
-
-    Associativity is Light's test (Clifford & Preston, The Algebraic
-    Theory of Semigroups, vol. 1): the a with (xa)y = x(ay) for all x, y
-    are closed under the product, so it suffices to check the a of a
-    generating set A, the one greedy_generators picks. Only when the test
-    fails are all n^3 triples scanned, for the first bad one.
-    """
-    n = len(table)
-    if n == 0 or any(len(row) != n for row in table):
-        raise GroupError("shape")
-    for x in range(n):
-        for y in range(n):
-            if not (0 <= table[x][y] < n):
-                raise GroupError("range", (x, y))
-    lists = [list(row) for row in table]
-    gens = greedy_generators(n, lambda a: [row[a] for row in lists])
-    if any(lists[tx[a]] != [tx[v] for v in lists[a]] for a in gens for tx in lists):
-        # row by row: (xy)z over all z against x(yz); z only on a mismatch
-        for x, tx in enumerate(lists):
-            for y, ty in enumerate(lists):
-                left = lists[tx[y]]
-                if left != [tx[v] for v in ty]:
-                    z = next(z for z in range(n) if left[z] != tx[ty[z]])
-                    raise GroupError("associativity", (x, y, z))
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise GroupError("identity")
-    inverse = [-1] * n
-    for x in range(n):
-        for y in range(n):
-            if table[x][y] == identity and table[y][x] == identity:
-                inverse[x] = y
-                break
-        if inverse[x] == -1:
-            raise GroupError("inverse", x)
-    if names is None:
-        names = tuple(f"g{i}" for i in range(n))
-    else:
-        names = tuple(names)
-        if len(names) != n:
-            raise GroupError("names")
-    rows = tuple(tuple(row) for row in table)
-    return GroupTable(names, rows, identity, tuple(inverse))
+    """GroupTable(names, rows) with the rows as tuples; the elements are
+    named g0, g1, ... when names is None."""
+    return GroupTable(tuple(f"g{i}" for i in range(len(table))) if names is None
+                      else tuple(names), tuple(tuple(row) for row in table))
 
 
 def _perm_name(p: tuple[int, ...]) -> str:

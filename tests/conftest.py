@@ -12,6 +12,7 @@ from hypergroups.core import (
     check_mask,
     members,
     product_of_sets,
+    quotient_table,
     restricted_growth,
 )
 from hypergroups.groups import (
@@ -19,6 +20,7 @@ from hypergroups.groups import (
     GroupTable,
     Subgroup,
     _perm_name,
+    coset_relation,
     cyclic_group,
     dihedral_group,
     symmetric_group,
@@ -223,6 +225,15 @@ def naive_coset_relation(g, hmask: int, side: str) -> tuple[int, ...]:
     return restricted_growth(labels)
 
 
+def naive_coset_structure(g, h, side):
+    """right_coset_hypergroup (side "right") or left_coset_hypergroup
+    (side "left") fed every product x.y of the group, n^2 triples."""
+    form = "{}H" if side == "right" else "H{}"
+    triples = (((x, y), w) for x, row in enumerate(g.table) for y, w in enumerate(row))
+    return Hypergroup.certify(quotient_table(tuple(form.format(s) for s in g.names),
+                                             triples, coset_relation(g, h.mask, side)))
+
+
 def naive_is_invariant_modulo(g, hmask, kmask):
     """is_invariant_modulo by set products: H in K and Kx in HxK for all x."""
     if hmask & ~kmask:
@@ -283,8 +294,7 @@ def all_pairs_from_permutations(perms):
                 raise GroupError("closure", (p, q))
             row.append(index[r])
         table.append(tuple(row))
-    g = verify_group(table, tuple(_perm_name(p) for p in ps))
-    return GroupTable(g.names, g.table, g.identity, g.inverse, tuple(ps))
+    return GroupTable(tuple(_perm_name(p) for p in ps), tuple(table), tuple(ps))
 
 
 # --- brute routes that no verb takes ------------------------------------------

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from hypergroups import constructions
 from hypergroups.core import (
     CapExceeded,
     EquivalenceRelation,
@@ -19,12 +20,14 @@ from hypergroups.core import (
     opposite,
     power,
     product_of_sets,
+    quotient_table,
     verify_axioms,
 )
 from hypergroups.groups import (
     Subgroup,
     as_hypergroup,
     cyclic_group,
+    generated,
     is_normal,
     stabilizer_subgroup,
     subgroups,
@@ -45,7 +48,13 @@ from hypergroups.constructions import (
     utumi_simplicity_criterion,
 )
 
-from conftest import cogroup_report, identity_relation, set_product, table_sets
+from conftest import (
+    cogroup_report,
+    identity_relation,
+    naive_coset_structure,
+    set_product,
+    table_sets,
+)
 
 
 # --- coset structures -----------------------------------------------------------
@@ -98,6 +107,41 @@ def test_coset_space_matches_set_oracle(sym3, sym4, dih8, dih12, z8, klein):
                     coset_space_oracle(g, s.mask, side), (g.names, s.mask, side)
                 compared += 1
     assert compared == 2 * (6 + 30 + 10 + 16 + 4 + 5)
+
+
+def affine_subgroup_of_s5(s5):
+    """AGL(1, 5), the maps x -> ax + b mod 5 with a != 0, inside S5."""
+    index = {p: i for i, p in enumerate(s5.perms)}
+    gens = [tuple((2 * x) % 5 for x in range(5)), tuple((x + 1) % 5 for x in range(5))]
+    return Subgroup(s5, generated(s5, mask_of(index[p] for p in gens)))
+
+
+def test_coset_space_matches_all_products_feed(sym4, dih12):
+    # the coset space read off n.k products against the one read off all n^2
+    s5 = symmetric_group(5)
+    affine = affine_subgroup_of_s5(s5)
+    cases = [(g, s) for g in (sym4, dih12, cyclic_group(12)) for s in subgroups(g)]
+    cases += [(s5, stabilizer_subgroup(s5, 0)), (s5, affine)]
+    for g, s in cases:
+        for side, build in (("right", right_coset_hypergroup), ("left", left_coset_hypergroup)):
+            assert build(g, s) == naive_coset_structure(g, s, side), (g.names, s.mask, side)
+    assert affine.order == 20 and len(cases) == 30 + 16 + 6 + 2
+
+
+def test_coset_space_products_counted(monkeypatch):
+    # S5 over a point stabilizer: 120 elements times 5 cosets, not 120^2
+    s5 = symmetric_group(5)
+    stab = stabilizer_subgroup(s5, 0)
+    counts = []
+
+    def counting(names, triples, labels):
+        triples = list(triples)
+        counts.append(len(triples))
+        return quotient_table(names, triples, labels)
+
+    monkeypatch.setattr(constructions, "quotient_table", counting)
+    right, left = right_coset_hypergroup(s5, stab), left_coset_hypergroup(s5, stab)
+    assert counts == [600, 600] and right.n == left.n == 5
 
 
 def test_normal_subgroup_gives_quotient_group(sym3):

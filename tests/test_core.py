@@ -483,8 +483,8 @@ def test_json_strictness():
 
 
 def test_hypergroup_is_a_multistructure(small_hypergroup_corpus):
-    # a certified hypergroup is its table plus the report: every reader
-    # of tables gives the same answer on h as on the plain table h.m
+    # a certified hypergroup is its table: every reader of tables gives
+    # the same answer on h as on the plain table h.m
     from hypergroups.constructions import (
         UtumiInput, UtumiInputError, canonical_presentation, utumi, utumi_is_associative)
     from hypergroups.core import json_obj
@@ -492,7 +492,7 @@ def test_hypergroup_is_a_multistructure(small_hypergroup_corpus):
     for h in small_hypergroup_corpus:
         m = h.m
         assert isinstance(h, Multistructure) and type(m) is Multistructure
-        assert verify_axioms(h) == h.report
+        assert verify_axioms(h) == AxiomReport(True, True, True)
         assert m == Multistructure(h.names, h.table) and h != m
         assert opposite(h) == opposite(m)
         assert is_group(h) == is_group(m)
@@ -528,9 +528,25 @@ def test_hypergroup_validates_its_table_and_report():
     h = Hypergroup.certify(m)
     assert Hypergroup.certify(h) == h and h.m == m and h.m is not m
     with pytest.raises(ValueError, match="n x n"):
-        Hypergroup(m.names, m.table[:2], h.report)
+        Hypergroup(m.names, m.table[:2])
     with pytest.raises(NotAHypergroup):
-        Hypergroup(m.names, m.table, verify_axioms(opposite(s_family((3, 1)))))
+        Hypergroup.certify(opposite(s_family((3, 1))))
+
+
+def test_forged_groups_and_hypergroups_are_refused():
+    # the identity, the inverses and the axiom report follow from the
+    # table, so no constructor takes them: a table decides them alone
+    c4 = cyclic_group(4)
+    with pytest.raises(TypeError, match=r"^GroupTable\b"):
+        GroupTable(c4.names, c4.table, 2, (0, 1, 2, 3))
+    g = GroupTable(c4.names, c4.table)
+    assert (g.identity, g.inverse) == (0, (0, 3, 2, 1)) and g == c4
+    empty = (("a", "b"), ((0b01, 0), (0, 0)))
+    with pytest.raises(TypeError, match=r"^Hypergroup\b"):
+        Hypergroup(*empty, AxiomReport(True, True, True))
+    with pytest.raises(NotAHypergroup) as e:
+        Hypergroup(*empty)
+    assert e.value.report.empty_witness == (0, 1)
 
 
 # --- value semantics of the library's types ---------------------------------
@@ -542,13 +558,13 @@ def value_examples():
     c3 = cyclic_ms(3)
     h = Hypergroup.certify(c3)
     s3 = symmetric_group(3)
-    bare = GroupTable(s3.names, s3.table, s3.identity, s3.inverse)  # equal: perms not compared
+    bare = GroupTable(s3.names, s3.table)  # equal: perms not compared
     stab = 0b11  # identity and the transposition fixing 0
     ident, total = identity_relation(3), total_relation(3)
     return [
         (c3, cyclic_ms(3), cyclic_ms(4), ("names", "table")),
-        (h, Hypergroup(c3.names, c3.table, verify_axioms(c3)),
-         Hypergroup.certify(cyclic_ms(4)), ("names", "table", "report")),
+        (h, Hypergroup(c3.names, c3.table),
+         Hypergroup.certify(cyclic_ms(4)), ("names", "table")),
         (verify_axioms(c3), AxiomReport(True, True, True),
          AxiomReport(True, True, False, None, None, (0, 0)),
          ("associative", "reproductive", "all_products_nonempty",
@@ -562,7 +578,7 @@ def value_examples():
          total, ("class_of",)),
         (EquivalenceRelation((0, 1, 0)), EquivalenceRelation._proved((0, 1, 0), (0b101, 0b010)),
          ident, ("class_of",)),
-        (s3, bare, cyclic_group(6), ("names", "table", "identity", "inverse", "perms")),
+        (s3, bare, cyclic_group(6), ("names", "table", "perms")),
         (Subgroup(s3, stab), Subgroup._proved(bare, stab), Subgroup(s3, 1), ("parent", "mask")),
         (UtumiInput(h, ident, 0), UtumiInput(Hypergroup.certify(c3), ident, 0),
          UtumiInput(h, EquivalenceRelation((0, 1, 1)), 0), ("base", "partition", "zero")),
@@ -601,6 +617,10 @@ def test_value_types_ignore_derived_fields():
     e, f = EquivalenceRelation((0, 1, 0)), EquivalenceRelation((0, 1, 0))
     object.__setattr__(f, "class_masks", ())  # not compared, not hashed
     assert e == f and hash(e) == hash(f)
+    g, h = cyclic_group(4), cyclic_group(4)
+    object.__setattr__(h, "identity", 2)  # identity and inverse: neither, nor shown
+    object.__setattr__(h, "inverse", (0, 1, 2, 3))
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
     proved = EquivalenceRelation._proved((0, 1, 0), (0b101, 0b010))
     assert (proved.k, proved.blocks()) == (e.k, e.blocks()) == (2, ((0, 2), (1,)))
 
@@ -652,7 +672,7 @@ def test_value_types_refuse_wrong_arity():
     s3 = symmetric_group(3)
     for cls, values in ((AxiomReport, (True,)),
                         (Multistructure, (c3.names, c3.table, None)),
-                        (GroupTable, (s3.names, s3.table, s3.identity, s3.inverse, s3.perms, None)),
+                        (GroupTable, (s3.names, s3.table, s3.perms, None)),
                         (Subgroup, (s3,))):
         with pytest.raises(TypeError, match=rf"^{cls.__name__}\b"):
             cls(*values)

@@ -11,6 +11,7 @@ from hypergroups import groups
 from hypergroups.core import CapExceeded, mask_of, members
 from hypergroups.groups import (
     GroupError,
+    GroupTable,
     Subgroup,
     as_hypergroup,
     check_group_order,
@@ -53,29 +54,43 @@ def mutated_z3():
     return table
 
 
+def built_directly(table, names=None):
+    """GroupTable(names, rows) without verify_group: the rows as tuples,
+    the names g0, g1, ... by default."""
+    names = tuple(f"g{i}" for i in range(len(table))) if names is None else names
+    return GroupTable(names, tuple(tuple(row) for row in table))
+
+
+# a group table is checked by its constructor, and verify_group only
+# shapes its arguments: both must refuse a table with the same error
+ROUTES = (verify_group, built_directly)
+
+
 def test_verify_group_shape_and_range():
-    with pytest.raises(GroupError) as e:
-        verify_group([])
-    assert e.value.kind == "shape"
-    with pytest.raises(GroupError) as e:
-        verify_group([[0, 1], [0]])
-    assert e.value.kind == "shape"
-    with pytest.raises(GroupError) as e:
-        verify_group([[0, 1], [1, 2]])
-    assert e.value.kind == "range"
-    assert e.value.witness == (1, 1)
+    for build in ROUTES:
+        with pytest.raises(GroupError) as e:
+            build([])
+        assert e.value.kind == "shape"
+        with pytest.raises(GroupError) as e:
+            build([[0, 1], [0]])
+        assert e.value.kind == "shape"
+        with pytest.raises(GroupError) as e:
+            build([[0, 1], [1, 2]])
+        assert e.value.kind == "range"
+        assert e.value.witness == (1, 1)
 
 
 def test_verify_group_assoc_witness_matches_exhaustive_scan():
     table = mutated_z3()
-    with pytest.raises(GroupError) as e:
-        verify_group(table)
-    assert e.value.kind == "associativity"
     first = next(
         (x, y, z)
         for x, y, z in itertools.product(range(3), repeat=3)
         if table[table[x][y]][z] != table[x][table[y][z]])
-    assert e.value.witness == first == (1, 1, 2)
+    for build in ROUTES:
+        with pytest.raises(GroupError) as e:
+            build(table)
+        assert e.value.kind == "associativity"
+        assert e.value.witness == first == (1, 1, 2)
 
 
 @pytest.mark.parametrize("group", ["c12", "s4"])
@@ -94,9 +109,10 @@ def test_verify_group_witness_on_corrupted_tables(group):
             (a, b, c)
             for a, b, c in itertools.product(range(n), repeat=3)
             if table[table[a][b]][c] != table[a][table[b][c]])
-        with pytest.raises(GroupError) as e:
-            verify_group(table)
-        assert (e.value.kind, e.value.witness) == ("associativity", first), (x, y)
+        for build in ROUTES:
+            with pytest.raises(GroupError) as e:
+                build(table)
+            assert (e.value.kind, e.value.witness) == ("associativity", first), (x, y)
 
 
 LIGHT_TEST_GROUPS = [g.table for g in (cyclic_group(6), symmetric_group(3), dihedral_group(4),
@@ -125,9 +141,9 @@ def group_tables_and_magmas(draw):
     return out
 
 
-def verify_group_outcome(table):
+def verify_group_outcome(table, build=verify_group):
     try:
-        g = verify_group(table)
+        g = build(table)
     except GroupError as e:
         return e.kind, e.witness
     return "group", (g.identity, g.inverse)
@@ -136,7 +152,8 @@ def verify_group_outcome(table):
 @settings(max_examples=600)
 @given(group_tables_and_magmas())
 def test_verify_group_light_test_matches_full_scan(table):
-    assert verify_group_outcome(table) == full_scan_group_check(table)
+    assert (verify_group_outcome(table) == verify_group_outcome(table, built_directly)
+            == full_scan_group_check(table))
 
 
 def test_verify_group_checks_more_than_the_first_generator():
@@ -151,20 +168,26 @@ def test_verify_group_checks_more_than_the_first_generator():
     bad = [(x, y, z) for x, y, z in itertools.product(range(6), repeat=3)
            if table[table[x][y]][z] != table[x][table[y][z]]]
     assert bad and not {y for _, y, _ in bad} & reached
-    assert verify_group_outcome(table) == ("associativity", bad[0]) == ("associativity", (1, 1, 2))
+    for build in ROUTES:
+        assert verify_group_outcome(table, build) == ("associativity", bad[0]) \
+            == ("associativity", (1, 1, 2))
 
 
 def test_verify_group_identity_and_inverse_failures():
-    with pytest.raises(GroupError) as e:
-        verify_group([[0, 0], [0, 0]])  # associative, no identity
-    assert e.value.kind == "identity"
-    with pytest.raises(GroupError) as e:
-        verify_group([[0, 1], [1, 1]])  # monoid, 1 has no inverse
-    assert e.value.kind == "inverse"
-    assert e.value.witness == 1
-    with pytest.raises(GroupError) as e:
-        verify_group([[0]], names=("a", "b"))
-    assert e.value.kind == "names"
+    for build in ROUTES:
+        with pytest.raises(GroupError) as e:
+            build([[0, 0], [0, 0]])  # associative, no identity
+        assert e.value.kind == "identity"
+        with pytest.raises(GroupError) as e:
+            build([[0, 1], [0, 1]])  # x.y = y: every x a left identity, none two-sided
+        assert e.value.kind == "identity"
+        with pytest.raises(GroupError) as e:
+            build([[0, 1], [1, 1]])  # monoid, 1 has no inverse
+        assert e.value.kind == "inverse"
+        assert e.value.witness == 1
+        with pytest.raises(GroupError) as e:
+            build([[0]], names=("a", "b"))
+        assert e.value.kind == "names"
 
 
 def test_verify_group_accepts_z8(z8):

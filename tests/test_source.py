@@ -37,6 +37,11 @@ def identifiers(tree):
             yield node.name.rpartition(".")[2]
 
 
+def attributes(tree):
+    """Every name the code reads or binds as an attribute, .name."""
+    return (node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
 def test_no_assert_statements_in_library():
     # cross-checks live in the tests: python -O strips asserts, and
     # otherwise every call pays for them
@@ -101,39 +106,48 @@ def test_public_names_are_reached_outside_the_tests():
     # its classes, is reached outside its own definition: from the library,
     # scripts/*.py, perfbench/*.py (WRAPPED names some by string) or a code
     # span of README.md; what only the tests reach belongs in tests/.
-    # Names are matched as identifiers, not resolved: a method counts as
-    # reached when any name or attribute anywhere is spelled like it, so
-    # EquivalenceRelation.identity and .total would pass through
-    # GroupTable.identity and a local variable total. An allowed name that
-    # is reached, or no longer defined, fails too.
+    # Names are matched by spelling, not resolved. A top-level name counts
+    # as reached when any identifier is spelled like it; a method only when
+    # an attribute .name is, so a local variable order does not reach
+    # Subgroup.order, though GroupTable.identity would still reach
+    # EquivalenceRelation.identity. An allowed name that is reached, or no
+    # longer defined, fails too.
     allowed = {
         "groups.is_normal": "the paper's group-side vocabulary",
         "groups.is_maximal": "the paper's group-side vocabulary",
+        "groups.Subgroup.order": "the paper's |H|, read by the tests",
         "core.Mapping.pre": "goes to the tests with Mapping once the tracer stops wrapping is_reflector",
     }
     trees = dict(library_trees())
-    reached = collections.Counter(name for tree in trees.values() for name in identifiers(tree))
-    for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
-        reached.update(identifiers(ast.parse(path.read_text(encoding="utf-8"))))
+    others = [ast.parse(path.read_text(encoding="utf-8")) for path in
+              [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]]
+    reached, read = collections.Counter(), collections.Counter()
+    for tree in [*trees.values(), *others]:
+        reached.update(identifiers(tree))
+        read.update(attributes(tree))
     reached.update(name for names in tracer_wrapped().values() for name in names)
     readme = (ROOT / "README.md").read_text(encoding="utf-8").split("```")
-    spans = readme[1::2] + [span for text in readme[0::2] for span in text.split("`")[1::2]]
-    reached.update(re.findall(r"\w+", " ".join(spans)))
+    spans = " ".join(readme[1::2] + [span for text in readme[0::2]
+                                     for span in text.split("`")[1::2]])
+    reached.update(re.findall(r"\w+", spans))
+    read.update(re.findall(r"\.(\w+)", spans))
     unreached = []
     for file, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                defs = [(node.name, node)] + [(f"{node.name}.{m.name}", m) for m in node.body
-                                              if isinstance(m, ast.FunctionDef)]
+                defs = [(node.name, node, reached, identifiers)]
+                defs += [(f"{node.name}.{m.name}", m, read, attributes) for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
             elif isinstance(node, ast.FunctionDef):
-                defs = [(node.name, node)]
+                defs = [(node.name, node, reached, identifiers)]
             elif isinstance(node, ast.Assign):
-                defs = [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+                defs = [(t.id, node, reached, identifiers) for t in node.targets
+                        if isinstance(t, ast.Name)]
             else:
                 defs = []
-            for qualname, d in defs:
+            for qualname, d, count, names_in in defs:
                 name = qualname.rpartition(".")[2]
-                if not name.startswith("_") and reached[name] == list(identifiers(d)).count(name):
+                if not name.startswith("_") and count[name] == list(names_in(d)).count(name):
                     unreached.append(f"{file[:-3]}.{qualname}")
     assert sorted(unreached) == sorted(allowed)
 
