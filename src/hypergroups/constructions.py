@@ -225,17 +225,15 @@ class UtumiInput(Frozen):
 def utumi(data: UtumiInput) -> Multistructure:
     """The table x.y = x + ybar (sum over the class of y).
 
-    Always reproductive; associative exactly when class sums saturate
-    (see utumi_is_associative).
+    x + ybar depends on y only through its class, so each row takes one
+    sum per class. Always reproductive; associative exactly when class
+    sums saturate (see utumi_is_associative).
     """
     m, eq = data.base, data.partition
-    n = m.n
     rows = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            row.append(product_of_sets(m, 1 << x, eq.class_mask(y)))
-        rows.append(tuple(row))
+    for x in range(m.n):
+        sums = [product_of_sets(m, 1 << x, cm) for cm in eq.class_masks]
+        rows.append(tuple(map(sums.__getitem__, eq.class_of)))
     return Multistructure(m.names, tuple(rows))
 
 

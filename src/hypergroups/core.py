@@ -567,10 +567,14 @@ class EquivalenceRelation(Frozen):
 
 
 def json_obj(m: Multistructure) -> dict:
-    """The canonical JSON form as a dict (see to_json)."""
+    """The canonical JSON form as a dict (see to_json). The list of names
+    is built once per distinct product mask, and equal products share
+    that one list."""
+    names = m.names
+    lists = {e: [names[z] for z in members(e)] for e in set().union(*m.table)}
     return {
-        "elements": list(m.names),
-        "table": [[[m.names[z] for z in members(e)] for e in row] for row in m.table],
+        "elements": list(names),
+        "table": [list(map(lists.__getitem__, row)) for row in m.table],
     }
 
 

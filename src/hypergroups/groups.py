@@ -96,13 +96,16 @@ def greedy_generators(n: int, column: Callable[[int], list[int]]) -> dict[int, l
     """A generating set A of the n elements, each a with its column
     column(a), the list of v.a over every v.
 
-    A is chosen greedily, adding the least element not yet reached, where
-    reached is A closed under right multiplication by A; for a group that
-    at least doubles the reached subgroup, so |A| <= log2 n + 1. The
-    columns are asked for in the order A is chosen, one per element of A.
+    A is chosen greedily, adding the greatest element not yet reached,
+    where reached is A closed under right multiplication by A; for a group
+    that at least doubles the reached subgroup, so |A| <= log2 n + 1.
+    In a group of order n > 1 the first element chosen already reaches
+    the identity, so an identity at index 0 is never spent as a
+    generator. The columns are asked for in the order A is chosen, one
+    per element of A.
     """
     cols, reached = {}, bytearray(n)
-    while (a := reached.find(0)) != -1:
+    while (a := reached.rfind(0)) != -1:
         cols[a] = column(a)
         reached, todo = bytearray(n), list(cols)
         while todo:

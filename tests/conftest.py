@@ -157,6 +157,27 @@ def naive_quotient_by(h, eq):
     return tuple(h.names[r] for r in reps), table
 
 
+def naive_json_obj(m):
+    """core.json_obj one cell at a time: a fresh list of names per product."""
+    return {
+        "elements": list(m.names),
+        "table": [[[m.names[z] for z in members(e)] for e in row] for row in m.table],
+    }
+
+
+def naive_utumi(data):
+    """constructions.utumi one cell at a time: x + ybar for every pair."""
+    m, eq = data.base, data.partition
+    n = m.n
+    rows = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            row.append(product_of_sets(m, 1 << x, eq.class_mask(y)))
+        rows.append(tuple(row))
+    return Multistructure(m.names, tuple(rows))
+
+
 # --- subgroup oracles: plain-set closures, every x tried ---------------------
 
 

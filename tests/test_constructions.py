@@ -27,6 +27,7 @@ from hypergroups.groups import (
     Subgroup,
     as_hypergroup,
     cyclic_group,
+    dihedral_group,
     generated,
     is_normal,
     stabilizer_subgroup,
@@ -52,6 +53,7 @@ from conftest import (
     cogroup_report,
     identity_relation,
     naive_coset_structure,
+    naive_utumi,
     set_product,
     table_sets,
 )
@@ -452,6 +454,19 @@ def test_utumi_associativity_criterion_and_witness(z8):
     assert (rep6.associative, rep6.witness) == (False, (1, 1))
 
 
+def random_zero_partition(rng, n):
+    """A random partition of range(n) with 0 alone in its class."""
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    blocks = [[0]]
+    for x in rest:
+        if blocks[1:] and rng.random() < 0.6:
+            rng.choice(blocks[1:]).append(x)
+        else:
+            blocks.append([x])
+    return EquivalenceRelation.from_blocks(n, blocks)
+
+
 def test_utumi_associativity_agrees_with_axioms_on_random_partitions():
     rng = random.Random(20260816)
     bases = [as_hypergroup(cyclic_group(m)) for m in (2, 3, 4, 6, 8)]
@@ -459,16 +474,7 @@ def test_utumi_associativity_agrees_with_axioms_on_random_partitions():
     checked_true = 0
     for _ in range(300):
         base = rng.choice(bases)
-        n = base.n
-        rest = list(range(1, n))
-        rng.shuffle(rest)
-        blocks = [[0]]
-        for x in rest:
-            if blocks[1:] and rng.random() < 0.6:
-                rng.choice(blocks[1:]).append(x)
-            else:
-                blocks.append([x])
-        data = UtumiInput(base, EquivalenceRelation.from_blocks(n, blocks), 0)
+        data = UtumiInput(base, random_zero_partition(rng, base.n), 0)
         rep = utumi_is_associative(data)
         va = verify_axioms(utumi(data))
         assert rep.associative == va.associative
@@ -507,6 +513,17 @@ def test_utumi_criterion_is_sufficient_only():
     assert is_simple(Hypergroup.certify(utumi(singles2)))
 
 
+# a univalent table with identity 0 that is not associative
+LOOP5 = Multistructure(
+    tuple("01234"),
+    tuple(tuple(1 << v for v in row) for row in
+          ((0, 1, 2, 3, 4),
+           (1, 0, 3, 4, 2),
+           (2, 3, 4, 0, 1),
+           (3, 4, 1, 2, 0),
+           (4, 2, 0, 1, 3))))
+
+
 def test_utumi_criterion_preconditions():
     # stabilizer table with its non-neutral elements merged passes every
     # input clause (0 + x = K minus {0} stays inside the merged class)
@@ -516,15 +533,54 @@ def test_utumi_criterion_preconditions():
         3, [[0], [1, 2]]), 0)
     with pytest.raises(ValueError, match="univalent"):
         utumi_simplicity_criterion(merged)
-    loop = Multistructure(
-        tuple("01234"),
-        tuple(tuple(1 << v for v in row) for row in
-              ((0, 1, 2, 3, 4),
-               (1, 0, 3, 4, 2),
-               (2, 3, 4, 0, 1),
-               (3, 4, 1, 2, 0),
-               (4, 2, 0, 1, 3))))
-    assert is_group(loop) and not verify_axioms(loop).associative
+    assert is_group(LOOP5) and not verify_axioms(LOOP5).associative
     with pytest.raises(ValueError, match="associative"):
         utumi_simplicity_criterion(
-            UtumiInput(loop, identity_relation(5), 0))
+            UtumiInput(LOOP5, identity_relation(5), 0))
+
+
+def utumi_corpus():
+    """The Utumi inputs of the tests above, then random partitions of C8,
+    C12, S3 and D8 with the zero 0 alone in its class."""
+    z8 = as_hypergroup(cyclic_group(8))
+    out = [
+        UtumiInput(z8, EquivalenceRelation.from_blocks(8, [[0], [1, 4, 7], [2, 3, 5, 6]]), 0),
+        UtumiInput(z8, EquivalenceRelation.from_blocks(8, [[0], [1], [2, 3, 4, 5, 6, 7]]), 0),
+        UtumiInput(as_hypergroup(cyclic_group(6)),
+                   EquivalenceRelation.from_blocks(6, [[0], [1, 2], [3, 4, 5]]), 0),
+        UtumiInput(as_hypergroup(symmetric_group(3)), identity_relation(6), 0),
+        UtumiInput(as_hypergroup(cyclic_group(4)), identity_relation(4), 0),
+        UtumiInput(stabilizer_hypergroup(3), EquivalenceRelation.from_blocks(3, [[0], [1, 2]]), 0),
+        UtumiInput(LOOP5, identity_relation(5), 0),
+    ]
+    rng = random.Random(20261019)
+    for g in (cyclic_group(8), cyclic_group(12), symmetric_group(3), dihedral_group(4)):
+        base = as_hypergroup(g)
+        out += [UtumiInput(base, random_zero_partition(rng, base.n), 0) for _ in range(25)]
+    return out
+
+
+def test_utumi_matches_the_per_cell_sums():
+    corpus = utumi_corpus()
+    for data in corpus:
+        assert utumi(data) == naive_utumi(data), data.partition
+    assert len(corpus) == 107
+
+
+def test_utumi_sums_counted(monkeypatch):
+    # one sum x + ybar per element x and class ybar: n.k, not n^2
+    calls = []
+
+    def counting(m, xmask, ymask):
+        calls.append((xmask, ymask))
+        return product_of_sets(m, xmask, ymask)
+
+    corpus = utumi_corpus()
+    monkeypatch.setattr(constructions, "product_of_sets", counting)
+    for data in corpus:
+        calls.clear()
+        utumi(data)
+        m, eq = data.base, data.partition
+        assert sorted(calls) == sorted(itertools.product(
+            (1 << x for x in range(m.n)), eq.class_masks))
+

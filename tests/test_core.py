@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypergroups import core
 from hypergroups.core import (
     AxiomReport,
     CapExceeded,
@@ -21,6 +22,7 @@ from hypergroups.core import (
     is_group,
     is_morphism,
     is_reflector,
+    json_obj,
     mask_of,
     members,
     opposite,
@@ -36,10 +38,13 @@ from hypergroups.constructions import (
     SFamilyClass,
     UtumiAssociativity,
     UtumiInput,
+    left_coset_hypergroup,
+    right_coset_hypergroup,
     s_family,
     s_family_class,
 )
-from hypergroups.groups import GroupTable, Subgroup, cyclic_group, symmetric_group
+from hypergroups.groups import (GroupTable, Subgroup, as_hypergroup, cyclic_group,
+                                stabilizer_subgroup, symmetric_group)
 from hypergroups.presentations import AdequacyReport, Presentation, Trame
 from hypergroups.simplicity import ReflectorCongruence, SimplicityReport
 
@@ -51,6 +56,7 @@ from conftest import (
     is_cogroup,
     naive_axiom_report,
     naive_is_reflector,
+    naive_json_obj,
     set_product,
     refines,
     table_sets,
@@ -479,6 +485,62 @@ def test_json_strictness():
     # entry order and duplicates inside a product list are tolerated
     m = from_json('{"elements":["a","b"],"table":[[["b","a","a"],["b"]],[["b"],["a"]]]}')
     assert m.table[0][0] == 0b11
+
+
+def json_corpus():
+    """Dense and sparse S-family tables, total tables, tables with empty
+    products, groups, coset spaces, and names that need JSON escaping."""
+    rng = random.Random(20261019)
+    s4 = symmetric_group(4)
+    stab = stabilizer_subgroup(s4, 0)
+    out = [s_family(sizes) for sizes in ((3,), (3, 1), (2, 2), (2, 1, 1), (4, 4, 4),
+                                         (8, 8, 8), (6, 5, 5, 8))]
+    out += [Multistructure(tuple(f"t{i}" for i in range(n)), (((1 << n) - 1,) * n,) * n)
+            for n in (1, 2, 24)]
+    for n in (3, 5, 12):
+        names = tuple(f"r{i}" for i in range(n))
+        out.append(Multistructure(names, tuple(
+            tuple(rng.choice((0, rng.getrandbits(n))) for _ in range(n)) for _ in range(n))))
+    out += [as_hypergroup(g) for g in (cyclic_group(1), cyclic_group(8), cyclic_group(48), s4)]
+    out += [right_coset_hypergroup(s4, stab), left_coset_hypergroup(s4, stab)]
+    odd = ('"', "\\", "\u00e9", "v|a,b,c", "\u2603", "\n\t", "{1,2}", "\U0001d11e")
+    out.append(Multistructure(odd, tuple(
+        tuple(rng.getrandbits(len(odd)) for _ in odd) for _ in odd)))
+    return out
+
+
+def test_to_json_matches_the_per_cell_form():
+    corpus = json_corpus()
+    for m in corpus:
+        want = naive_json_obj(m)
+        assert json_obj(m) == want
+        assert to_json(m) == json.dumps(want, separators=(",", ":"))
+        assert from_json(to_json(m)) == Multistructure(m.names, m.table)
+    assert len(corpus) == 20
+    assert to_json(corpus[-1]).startswith(
+        '{"elements":["\\"","\\\\","\\u00e9","v|a,b,c","\\u2603","\\n\\t","{1,2}",'
+        '"\\ud834\\udd1e"],"table":[[[')
+
+
+def test_json_obj_builds_one_list_per_distinct_product(monkeypatch):
+    calls = []
+
+    def counting(mask):
+        calls.append(mask)
+        return members(mask)
+
+    corpus = json_corpus()
+    monkeypatch.setattr(core, "members", counting)
+    counts = []
+    for m in corpus:
+        calls.clear()
+        obj = json_obj(m)
+        distinct = {e for row in m.table for e in row}
+        assert sorted(calls) == sorted(distinct)
+        # equal products share one list
+        assert len({id(e) for row in obj["table"] for e in row}) == len(distinct)
+        counts.append(len(calls))
+    assert counts[7:10] == [1, 1, 1] and counts[15:17] == [48, 24]
 
 
 

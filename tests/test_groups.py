@@ -158,19 +158,20 @@ def test_verify_group_light_test_matches_full_scan(table):
 
 def test_verify_group_checks_more_than_the_first_generator():
     # Z6 with x*y = x + y + 3 when x = y = 1 mod 3, its elements 0 and 3
-    # swapped: element 0 reaches only {0, 3}, and every bad triple has its
-    # middle element outside that, so the test must go on to more
-    # generators to see one
-    table = [(3, 4, 5, 0, 1, 2), (4, 5, 0, 1, 2, 3), (5, 0, 4, 2, 3, 1),
-             (0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0), (2, 3, 1, 5, 0, 4)]
-    reached = {0, table[0][0]}
-    assert reached == {0, 3} and table[3][0] in reached
+    # swapped, then every x renamed 5 - x: the first generator, element 5,
+    # reaches only {5, 2}, and every bad triple has its middle element
+    # outside that, so the test must go on to more generators to see one
+    table = [(1, 5, 0, 4, 2, 3), (5, 0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5),
+             (4, 2, 3, 1, 5, 0), (2, 3, 4, 5, 0, 1), (3, 4, 5, 0, 1, 2)]
+    first = next(iter(groups.greedy_generators(6, lambda a: [row[a] for row in table])))
+    reached = {first, table[first][first]}
+    assert first == 5 and reached == {5, 2} and table[2][5] in reached
     bad = [(x, y, z) for x, y, z in itertools.product(range(6), repeat=3)
            if table[table[x][y]][z] != table[x][table[y][z]]]
     assert bad and not {y for _, y, _ in bad} & reached
     for build in ROUTES:
         assert verify_group_outcome(table, build) == ("associativity", bad[0]) \
-            == ("associativity", (1, 1, 2))
+            == ("associativity", (0, 0, 1))
 
 
 def test_verify_group_identity_and_inverse_failures():
@@ -266,6 +267,30 @@ def test_from_permutations_failures_match_all_pairs_oracle(sym4):
         assert from_permutations_outcome(from_permutations, perms) == want, perms
         kinds[want[0] if len(want) == 2 else "group"] += 1
     assert kinds == {"closure": 292, "group": 41, "range": 4, "shape": 1}
+
+
+def test_greedy_generators_skip_the_identity(monkeypatch):
+    # greatest unreached element first: the identity at index 0 is
+    # reached by the first generator and never spent as one
+    chosen = []
+    greedy = groups.greedy_generators
+
+    def recording(n, column):
+        cols = greedy(n, column)
+        chosen.append(list(cols))
+        return cols
+
+    monkeypatch.setattr(groups, "greedy_generators", recording)
+    builds = {"S6": lambda: symmetric_group(6, 720), "S5": lambda: symmetric_group(5),
+              "S4": lambda: symmetric_group(4), "C48": lambda: cyclic_group(48),
+              "D15": lambda: dihedral_group(15)}
+    counts = {}
+    for name, build in builds.items():
+        chosen.clear()
+        g = build()
+        assert len(chosen) == 1 and g.identity not in chosen[0], name
+        counts[name] = len(chosen[0])
+    assert counts == {"S6": 4, "S5": 3, "S4": 3, "C48": 1, "D15": 2}
 
 
 def test_symmetric_group_cap():
