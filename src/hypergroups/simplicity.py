@@ -11,7 +11,7 @@ subgroup-side decider for coset structures.
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from itertools import chain
 from operator import or_
 
 from .core import (
@@ -20,6 +20,7 @@ from .core import (
     Frozen,
     Hypergroup,
     find_isomorphism,
+    members,
     products,
     quotient_table,
     saturation_identity,
@@ -63,22 +64,29 @@ def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
     """The reflet: classes, with [x].[y] = classes meeting x.y.
 
     Under a reflector congruence any representatives give the same class
-    set, so every product may be read. Classes are named after their
-    least members, so the identity congruence reproduces h itself.
+    set, so only the k² products of the classes' least members are read.
+    Classes are named after them, so the identity congruence reproduces h.
     """
     if c.over != h:
         raise ValueError("congruence was validated over a different hypergroup")
-    return Hypergroup.certify(quotient_table(h.names, products(h), c.eq.class_of))
+    least = [(cm & -cm).bit_length() - 1 for cm in c.eq.class_masks]
+    triples = (((x, y), w) for x in least for y in least for w in members(h.table[x][y]))
+    return Hypergroup.certify(quotient_table(h.names, triples, c.eq.class_of))
 
 
-def _node_ok(i, labels, cmask, rowsum, colsum, table, nextrow, nextcol):
-    """Whether labels[0..i] may still extend to a reflector congruence:
-    the six req/pos inclusions at every labelled pair, pairs with i first."""
+def _node_ok(i, k, labels, cmask, rowsum, colsum, table, live, nextrow, nextcol):
+    """Whether labels[0..i], in k classes, may still extend to a reflector
+    congruence: the six req/pos inclusions at the pairs of live[i], ...,
+    live[0]. One class or only singletons pass untested: a prefix of the
+    total or identity relation, reflector congruences of any hypergroup.
+    live leaves out each x.y that is the carrier: s2 = s3 = the carrier
+    and s1req ⊆ carrier ⊆ s1pos, so all six inclusions hold."""
+    if k == 1 or k == i + 1:
+        return True
     pm = (2 << i) - 1  # the labelled elements
     free = ~pm  # the others, as an unbounded mask; -1 stands for all
     sat = {}  # e & pm -> its saturation, for this node's classes
-    for x, y in chain(zip(repeat(i), range(i + 1)), zip(range(i), repeat(i)),
-                      product(range(i), repeat=2)):
+    for x, y in chain.from_iterable(live[i::-1]):
         e = table[x][y]
         ep = e & pm
         s1req = sat.get(ep)
@@ -129,7 +137,11 @@ def reflector_congruences(h: Hypergroup,
     those involving i: giving i a label only adds to the req sets and,
     as the suffix unions of unlabelled elements lose i, only shrinks the
     pos sets, so an older pair can fail anew. The pairs involving i go
-    first, since a node that fails usually fails on one of them.
+    first, since a node that fails usually fails on one of them, then
+    those involving i - 1, and so on. Two skips cannot change a verdict:
+    a pair whose product is the whole carrier is never tested, as it
+    passes every inclusion, and a node labelled as a prefix of the total
+    or identity relation passes untested, as both are congruences.
 
     limit, when given, stops the search after that many congruences
     (is_simple uses 3: any third congruence settles the verdict).
@@ -137,8 +149,11 @@ def reflector_congruences(h: Hypergroup,
     n = h.n
     if n > cap:
         raise CapExceeded(f"carrier size {n} exceeds simplicity cap {cap}")
-    table = h.table
+    table, full = h.table, h.full_mask
     cols = list(zip(*table))
+    # live[j]: the pairs (j, y <= j), then (x < j, j), whose product is not the carrier
+    live = [[(j, y) for y in range(j + 1) if table[j][y] != full]
+            + [(x, j) for x in range(j) if cols[j][x] != full] for j in range(n)]
     # nextrow[j][x]: the union of x.y over y >= j; nextcol[j][y]: of x.y over x >= j
     nextrow = [[0] * n]
     nextcol = [[0] * n]
@@ -164,14 +179,14 @@ def reflector_congruences(h: Hypergroup,
             return limit is not None and len(out) >= limit
         bit, row, col = 1 << i, table[i], cols[i]
         for lab in range(top + 1):
-            labels[i] = lab
+            labels[i], k = lab, max(top, lab + 1)
             rs, cs = rowsum[lab], colsum[lab]
             rowsum[lab] = list(map(or_, rs, col))
             colsum[lab] = list(map(or_, cs, row))
             cmask[lab] |= bit
-            stop = (_node_ok(i, labels, cmask, rowsum, colsum, table,
+            stop = (_node_ok(i, k, labels, cmask, rowsum, colsum, table, live,
                              nextrow[i + 1], nextcol[i + 1])
-                    and rec(i + 1, max(top, lab + 1)))
+                    and rec(i + 1, k))
             rowsum[lab], colsum[lab] = rs, cs
             cmask[lab] ^= bit
             if stop:

@@ -12,6 +12,7 @@ from hypergroups.core import (
     check_mask,
     members,
     product_of_sets,
+    products,
     quotient_table,
     restricted_growth,
 )
@@ -155,6 +156,12 @@ def naive_quotient_by(h, eq):
               for b in reps)
         for a in reps)
     return tuple(h.names[r] for r in reps), table
+
+
+def all_triples_quotient_by(h, c):
+    """quotient_by read off every product triple of h, not only those of
+    the classes' least members."""
+    return Hypergroup.certify(quotient_table(h.names, products(h), c.eq.class_of))
 
 
 def naive_json_obj(m):
@@ -499,6 +506,42 @@ def naive_congruence_search(h, limit=None):
 
     rec(1, 1)
     return out, nodes
+
+
+def all_pairs_node_ok(i, labels, cmask, rowsum, colsum, table, nextrow, nextcol):
+    """The search's per-node test with no pair and no node skipped: the six
+    req/pos inclusions at every labelled pair, pairs with i first."""
+    pm = (2 << i) - 1  # the labelled elements
+    free = ~pm  # the others, as an unbounded mask; -1 stands for all
+    sat = {}  # e & pm -> its saturation, for this node's classes
+    for x, y in itertools.chain(zip(itertools.repeat(i), range(i + 1)),
+                                zip(range(i), itertools.repeat(i)),
+                                itertools.product(range(i), repeat=2)):
+        e = table[x][y]
+        ep = e & pm
+        s1req = sat.get(ep)
+        if s1req is None:
+            s1req, rest = 0, ep
+            while rest:
+                cm = cmask[labels[(rest & -rest).bit_length() - 1]]
+                s1req |= cm
+                rest &= ~cm
+            sat[ep] = s1req
+        if e & free:
+            s1pos = -1
+        elif e:
+            s1pos = s1req | free
+        else:
+            s1pos = 0
+        s2req = rowsum[labels[y]][x]
+        s2pos = s2req | nextrow[x]
+        s3req = colsum[labels[x]][y]
+        s3pos = s3req | nextcol[y]
+        if (s2req & ~s1pos or s3req & ~s1pos
+                or s1req & ~s2pos or s1req & ~s3pos
+                or s2req & ~s3pos or s3req & ~s2pos):
+            return False
+    return True
 
 
 # --- group corpus -------------------------------------------------------------

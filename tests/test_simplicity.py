@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypergroups.core import (
     Multistructure,
     find_isomorphism,
     is_group,
+    members,
     opposite,
     verify_axioms,
 )
@@ -29,6 +31,7 @@ from hypergroups.constructions import (
     UtumiInput,
     left_coset_hypergroup,
     right_coset_hypergroup,
+    s_family,
     stabilizer_hypergroup,
     utumi,
     utumi_is_associative,
@@ -51,6 +54,8 @@ from hypergroups.simplicity import (
 )
 
 from conftest import (
+    all_pairs_node_ok,
+    all_triples_quotient_by,
     blocks_of,
     identity_relation,
     naive_congruence_search,
@@ -260,6 +265,109 @@ def test_meet_of_two_congruences_need_not_be_one():
     meet = EquivalenceRelation.from_labels(list(zip(found[1], found[2])))
     assert meet.class_of == (0, 1, 2, 3, 3, 0)
     assert not is_reflector_congruence(h, meet)
+
+
+def with_checked_nodes(h):
+    """Run reflector_congruences(h), comparing every node's verdict with
+    all_pairs_node_ok, which skips no pair and no node; (the number of
+    nodes that passed, the number that failed)."""
+    node_ok = simplicity._node_ok
+    verdicts = [0, 0]
+
+    def checked(i, k, labels, cmask, rowsum, colsum, table, live, nextrow, nextcol):
+        verdict = node_ok(i, k, labels, cmask, rowsum, colsum, table, live, nextrow, nextcol)
+        assert verdict == all_pairs_node_ok(i, labels, cmask, rowsum, colsum, table,
+                                            nextrow, nextcol), (h.names, labels[:i + 1])
+        verdicts[verdict] += 1
+        return verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicity, "_node_ok", checked)
+        reflector_congruences(h, cap=h.n)
+    return verdicts[True], verdicts[False]
+
+
+def skip_corpus():
+    """Total hypergroups on 1-8 elements, C24, C31, C32, D12, D16, the
+    S-family hypergroups on up to 9 elements, and the right and left coset
+    spaces of S4 and S5 of index at most 12."""
+    hs = [total_hypergroup(n) for n in range(1, 9)]
+    hs += [as_hypergroup(g) for g in (cyclic_group(24), cyclic_group(31), cyclic_group(32),
+                                      dihedral_group(6), dihedral_group(8))]
+    for r in (1, 2, 3):
+        for sizes in product(range(1, 10), repeat=r):
+            if sum(sizes) <= 9 and verify_axioms(s_family(sizes)).is_hypergroup:
+                hs.append(Hypergroup.certify(s_family(sizes)))
+    for g in (symmetric_group(4), symmetric_group(5)):
+        for sub in subgroups(g):
+            if g.n // sub.order <= 12:
+                hs += [right_coset_hypergroup(g, sub), left_coset_hypergroup(g, sub)]
+    return hs
+
+
+def test_node_verdicts_match_all_pairs():
+    # the carrier-wide pairs and the total and identity prefixes are
+    # skipped without changing any node's verdict, so the leaves agree too
+    corpus = skip_corpus()
+    passed = failed = 0
+    for h in corpus:
+        p, f = with_checked_nodes(h)
+        passed, failed = passed + p, failed + f
+    assert len(corpus) == 8 + 5 + 24 + 2 * (29 + 34)
+    assert passed > 10000 and failed > 10000  # 10,647 and 12,955 when written
+
+
+@settings(max_examples=100)
+@given(small_hypergroup_tables())
+def test_node_verdicts_match_all_pairs_on_random_hypergroups(m):
+    assume(verify_axioms(m).is_hypergroup)
+    with_checked_nodes(Hypergroup.certify(m))
+
+
+def test_quotient_by_matches_all_triples():
+    # reflets read off the least members' products equal the reflets read
+    # off every product, compared by value
+    compared = 0
+    for h in skip_corpus():
+        for c in reflector_congruences(h, cap=h.n):
+            assert quotient_by(h, c) == all_triples_quotient_by(h, c), (h.names, c.eq)
+            compared += 1
+    assert compared == 5731
+
+
+def relabelled(h, perm):
+    """h with element x renamed perm[x]: perm[x].perm[y] = perm(x.y)."""
+    n = h.n
+    names, rows = [None] * n, [[0] * n for _ in range(n)]
+    for x in range(n):
+        names[perm[x]] = h.names[x]
+        for y in range(n):
+            rows[perm[x]][perm[y]] = sum(1 << perm[w] for w in members(h.table[x][y]))
+    return Hypergroup.certify(Multistructure(tuple(names), tuple(map(tuple, rows))))
+
+
+def partitions_of(found, perm=None):
+    """The congruences found as a set of partitions, each class a frozenset
+    of elements, renamed by perm when given."""
+    return {frozenset(frozenset(perm[x] if perm else x for x in members(cm))
+                      for cm in c.eq.class_masks) for c in found}
+
+
+@settings(max_examples=60)
+@given(small_hypergroup_tables(), st.data())
+def test_congruences_follow_a_relabelling(m, data):
+    # the skips depend on element order; the answers must not
+    assume(verify_axioms(m).is_hypergroup)
+    h = Hypergroup.certify(m)
+    perm = data.draw(st.permutations(range(h.n)))
+    ph = relabelled(h, perm)
+    found, pfound = reflector_congruences(h), reflector_congruences(ph)
+    assert partitions_of(pfound) == partitions_of(found, perm)
+    rep, prep = simplicity_report(h), simplicity_report(ph)
+    assert (prep.simple, prep.invariant_count) == (rep.simple, rep.invariant_count)
+    assert len(reflets(ph)) == len(reflets(h))
+    op = Hypergroup.certify(opposite(h))
+    assert [c.eq for c in reflector_congruences(op)] == [c.eq for c in found]
 
 
 def test_quotient_by_identity_reproduces(z8h):
