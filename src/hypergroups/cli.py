@@ -250,7 +250,8 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
 
 
 def format_trame(t: Trame, r: Sequence[int]) -> str:
-    """Canonical text form; parse_trame inverts it exactly."""
+    """Canonical text form; parse_trame inverts it exactly when no name
+    holds whitespace or a '}' (names a and a} in two classes fail)."""
     lines = ["elements: " + " ".join(t.names)]
     for (u, v), w in sorted(t.op.items()):
         lines.append(f"compose: {t.names[u]} {t.names[v]} -> {t.names[w]}")

@@ -10,6 +10,7 @@ quotient of a partial univalent operation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from typing import Sequence
@@ -278,20 +279,11 @@ def utumi_simplicity_criterion(data: UtumiInput) -> bool:
         raise ValueError("criterion applies to a univalent base only")
     if not verify_axioms(m).associative:
         raise ValueError("criterion applies to an associative base only")
-    full = m.full_mask
-    for cm in data.partition.class_masks:
-        if cm == 1 << data.zero:
-            continue
-        acc = cm
-        ok = acc == full
-        for _ in range(m.n - 1):
-            if ok:
-                break
-            acc = product_of_sets(m, acc, cm)
-            ok = acc == full
-        if not ok:
-            return False
-    return True
+    # cm, cm + cm, ... with up to n terms, made only until one is the carrier
+    sum_of = functools.partial(product_of_sets, m)
+    return all(m.full_mask in itertools.accumulate(itertools.repeat(cm, m.n - 1), sum_of,
+                                                   initial=cm)
+               for cm in data.partition.class_masks if cm != 1 << data.zero)
 
 
 def canonical_presentation(h: Multistructure, cap: int = DEFAULT_TRAME_CAP) -> Presentation:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_ELEMENTS = 64  # mask-width contract for carriers
@@ -200,7 +201,8 @@ def verify_axioms(m: Multistructure) -> AxiomReport:
 
     Each failed axiom reports the lexicographically first witness
     (triples (x,y,z) for associativity, x for reproductivity, pairs (x,y)
-    for empty products), scanning in index order.
+    for empty products). Each scan yields its failures in index order,
+    and the report takes the first, which stops the scan.
 
     Associativity compares, for each pair (x, y), the row of (x.y).z with
     the row of x.(y.z) over all z. Each set product is computed once per
@@ -212,59 +214,36 @@ def verify_axioms(m: Multistructure) -> AxiomReport:
     full = m.full_mask
     table = m.table
 
-    associative = True
-    assoc_witness = None
-    left_rows: dict[int, list[int]] = {}  # L -> [L.z for z]
-    for x in range(n):
-        tx = table[x]
-        right: dict[int, int] = {}  # M -> x.M
-        for y in range(n):
-            left = tx[y]
-            lrow = left_rows.get(left)
-            if lrow is None:
-                lrow = [0] * n
-                for l in members(left):
-                    lrow = [a | b for a, b in zip(lrow, table[l])]
-                left_rows[left] = lrow
-            rrow = []
-            for mid in table[y]:
-                r = right.get(mid)
-                if r is None:
-                    r = 0
-                    for v in members(mid):
-                        r |= tx[v]
-                    right[mid] = r
-                rrow.append(r)
-            if rrow != lrow:
-                z = next(z for z in range(n) if rrow[z] != lrow[z])
-                associative, assoc_witness = False, (x, y, z)
-                break
-        if not associative:
-            break
+    def assoc_failures() -> Iterator[tuple[int, int, int]]:
+        left_rows: dict[int, list[int]] = {}  # L -> [L.z for z]
+        for x in range(n):
+            tx = table[x]
+            right: dict[int, int] = {}  # M -> x.M
+            for y in range(n):
+                left = tx[y]
+                lrow = left_rows.get(left)
+                if lrow is None:
+                    lrow = [0] * n
+                    for l in members(left):
+                        lrow = [a | b for a, b in zip(lrow, table[l])]
+                    left_rows[left] = lrow
+                rrow = []
+                for mid in table[y]:
+                    r = right.get(mid)
+                    if r is None:
+                        r = 0
+                        for v in members(mid):
+                            r |= tx[v]
+                        right[mid] = r
+                    rrow.append(r)
+                if rrow != lrow:
+                    yield x, y, next(z for z in range(n) if rrow[z] != lrow[z])
 
-    reproductive = True
-    repro_witness = None
-    for x in range(n):
-        row = 0
-        col = 0
-        for y in range(n):
-            row |= table[x][y]
-            col |= table[y][x]
-        if row != full or col != full:
-            reproductive, repro_witness = False, x
-            break
-
-    nonempty = True
-    empty_witness = None
-    for x in range(n):
-        for y in range(n):
-            if not table[x][y]:
-                nonempty, empty_witness = False, (x, y)
-                break
-        if not nonempty:
-            break
-
-    return AxiomReport(associative, reproductive, nonempty,
+    assoc_witness = next(assoc_failures(), None)
+    repro_witness = next((x for x, row, col in zip(range(n), table, zip(*table))
+                          if reduce(or_, row) != full or reduce(or_, col) != full), None)
+    empty_witness = next(((x, row.index(0)) for x, row in enumerate(table) if 0 in row), None)
+    return AxiomReport(assoc_witness is None, repro_witness is None, empty_witness is None,
                        assoc_witness, repro_witness, empty_witness)
 
 
@@ -417,7 +396,9 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
     candidates in index order, so the result is the first bijection in
     lexicographic backtracking order. Candidates are pruned by per-element
     invariants (sorted row/column product-size profiles, |x.x|, x in x.x)
-    and by product-membership consistency over the assigned prefix.
+    and by product-membership consistency over the assigned prefix. The
+    search yields the bijections in that order, and taking the first
+    stops it.
     """
     n = a.n
     if n != b.n:
@@ -450,21 +431,18 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
                     return False
         return True
 
-    def assign(k: int) -> bool:
+    def assign(k: int) -> Iterator[tuple[int, ...]]:
         if k == n:
-            return True
+            yield tuple(g)
+            return
         for v in candidates[k]:
-            if used[v]:
-                continue
-            g[k] = v
-            used[v] = True
-            if consistent(k) and assign(k + 1):
-                return True
-            used[v] = False
-            g[k] = -1
-        return False
+            if not used[v]:
+                g[k], used[v] = v, True
+                if consistent(k):
+                    yield from assign(k + 1)
+                used[v] = False
 
-    return tuple(g) if assign(0) else None
+    return next(assign(0), None)
 
 
 def restricted_growth(labels: Iterable) -> tuple[int, ...]:

@@ -31,9 +31,10 @@ class GroupTable(Frozen):
 
     Construction raises GroupError, its kind naming the first check that
     fails: shape, entry range, associativity (lexicographically first bad
-    triple), two-sided identity, inverses, the length of names. identity
-    and inverse are derived, and left out of ==, hash and repr; perms,
-    the permutation realization when there is one, out of == and hash.
+    triple), two-sided identity, inverses, names (n of them, unique and
+    non-empty). identity and inverse are derived, and left out of ==,
+    hash and repr; perms, the permutation realization when there is one,
+    out of == and hash.
 
     Associativity is Light's test (Clifford & Preston, The Algebraic
     Theory of Semigroups, vol. 1): the a with (xa)y = x(ay) for all x, y
@@ -70,15 +71,13 @@ class GroupTable(Frozen):
                          if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
         if identity is None:
             raise GroupError("identity")
-        inverse = [-1] * n
+        inverse = []
         for x in range(n):
-            for y in range(n):
-                if table[x][y] == identity and table[y][x] == identity:
-                    inverse[x] = y
-                    break
-            if inverse[x] == -1:
+            y = next((y for y in range(n) if table[x][y] == identity == table[y][x]), None)
+            if y is None:
                 raise GroupError("inverse", x)
-        if len(self.names) != n:
+            inverse.append(y)
+        if len(self.names) != n or len(set(self.names)) != n or not all(self.names):
             raise GroupError("names")
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))

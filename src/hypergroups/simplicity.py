@@ -11,8 +11,9 @@ subgroup-side decider for coset structures.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from operator import or_
+from typing import Iterator
 
 from .core import (
     CapExceeded,
@@ -80,7 +81,9 @@ def _node_ok(i, k, labels, cmask, rowsum, colsum, table, live, nextrow, nextcol)
     live[0]. One class or only singletons pass untested: a prefix of the
     total or identity relation, reflector congruences of any hypergroup.
     live leaves out each x.y that is the carrier: s2 = s3 = the carrier
-    and s1req ⊆ carrier ⊆ s1pos, so all six inclusions hold."""
+    and s1req ⊆ carrier ⊆ s1pos, so all six inclusions hold. No product
+    of a hypergroup is empty, so one inside the labelled elements has
+    s1pos = s1req | free."""
     if k == 1 or k == i + 1:
         return True
     pm = (2 << i) - 1  # the labelled elements
@@ -97,12 +100,7 @@ def _node_ok(i, k, labels, cmask, rowsum, colsum, table, live, nextrow, nextcol)
                 s1req |= cm
                 rest &= ~cm
             sat[ep] = s1req
-        if e & free:
-            s1pos = -1
-        elif e:
-            s1pos = s1req | free
-        else:
-            s1pos = 0
+        s1pos = -1 if e & free else s1req | free
         s2req = rowsum[labels[y]][x]
         s2pos = s2req | nextrow[x]
         s3req = colsum[labels[x]][y]
@@ -143,8 +141,10 @@ def reflector_congruences(h: Hypergroup,
     passes every inclusion, and a node labelled as a prefix of the total
     or identity relation passes untested, as both are congruences.
 
-    limit, when given, stops the search after that many congruences
-    (is_simple uses 3: any third congruence settles the verdict).
+    The search is a generator that yields the leaves in that fixed order;
+    the caller stops it. limit, when given, takes the first that many
+    (is_simple uses 3: any third congruence settles the verdict), and no
+    node past the last one taken is tested.
     """
     n = h.n
     if n > cap:
@@ -169,14 +169,13 @@ def reflector_congruences(h: Hypergroup,
     cmask = [1] + [0] * (n - 1)
     rowsum = [list(cols[0])] + [[0] * n] * (n - 1)
     colsum = [list(table[0])] + [[0] * n] * (n - 1)
-    out: list[ReflectorCongruence] = []
 
-    def rec(i: int, top: int) -> bool:
+    def rec(i: int, top: int) -> Iterator[ReflectorCongruence]:
         if i == n:
             # labels are in restricted-growth order; cmask[:top] are the classes
             eq = EquivalenceRelation._proved(tuple(labels), tuple(cmask[:top]))
-            out.append(ReflectorCongruence._proved(h, eq))
-            return limit is not None and len(out) >= limit
+            yield ReflectorCongruence._proved(h, eq)
+            return
         bit, row, col = 1 << i, table[i], cols[i]
         for lab in range(top + 1):
             labels[i], k = lab, max(top, lab + 1)
@@ -184,17 +183,15 @@ def reflector_congruences(h: Hypergroup,
             rowsum[lab] = list(map(or_, rs, col))
             colsum[lab] = list(map(or_, cs, row))
             cmask[lab] |= bit
-            stop = (_node_ok(i, k, labels, cmask, rowsum, colsum, table, live,
-                             nextrow[i + 1], nextcol[i + 1])
-                    and rec(i + 1, k))
+            if _node_ok(i, k, labels, cmask, rowsum, colsum, table, live,
+                        nextrow[i + 1], nextcol[i + 1]):
+                # a stop at a leaf leaves the state below unrestored:
+                # harmless, as it belongs to this one search
+                yield from rec(i + 1, k)
             rowsum[lab], colsum[lab] = rs, cs
             cmask[lab] ^= bit
-            if stop:
-                return True
-        return False
 
-    rec(1, 1)
-    return out
+    return list(islice(rec(1, 1), limit))
 
 
 def reflets(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP) -> list[Hypergroup]:

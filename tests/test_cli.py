@@ -518,12 +518,23 @@ def test_trame_parse_errors(tmp_path):
          "line 2: unrecognized line"),
         ("compose: a a -> a\n", "line 1: compose before elements"),
         ("elements: a b\nclasses: {a b} {a}\n", "element 'a' in two blocks"),
+        ("elements: a\nelements: a\nclasses: {a}\n", "line 2: duplicate elements line"),
+        ("elements:\nclasses: {a}\n", "line 1: no element names"),
+        ("elements: a b a\nclasses: {a b}\n", "line 1: duplicate element name"),
+        ("classes: {a}\nelements: a\n", "line 1: classes before elements"),
+        ("elements: a\nclasses: {a}\nclasses: {a}\n", "line 3: duplicate classes line"),
+        ("# no elements\n", "no elements line"),
+        ("elements: a\ncompose: a a -> a\n", "no classes line"),
     ]
     for i, (text, fragment) in enumerate(cases):
         p = tmp_path / f"bad{i}.trame"
         p.write_text(text)
         r = run_cli("trame", "quotient", str(p))
         assert r.returncode == 2 and fragment in r.stderr, (i, r.stderr)
+    # a well-formed file over the trame cap is refused, not malformed
+    p.write_text(TRAME_A)
+    r = run_cli("trame", "quotient", "--cap-trame", "3", str(p))
+    assert (r.returncode, r.stdout, r.stderr) == (3, "", "error: trame size 4 exceeds cap 3\n")
 
 
 def test_input_error_exit_codes(files, tmp_path):
@@ -541,6 +552,8 @@ def test_input_error_exit_codes(files, tmp_path):
     assert r.returncode == 2 and "univalent" in r.stderr
     r = run_cli("simple-coset", "sym:3", "{012,042}")
     assert r.returncode == 2 and "unknown group element" in r.stderr
+    r = run_cli("simple-coset", "sym:3", "{a}|{b}")
+    assert (r.returncode, r.stderr) == (2, "error: a subgroup is one block like {a,b}, got 2\n")
     assert run_cli("gen", "nope", "1").returncode == 2
     assert run_cli("gen", "stab", "0").returncode == 2
     assert run_cli("gen", "s-family", "0").returncode == 2
@@ -586,6 +599,9 @@ def test_trame_roundtrip():
         fixtures.append(parse_trame(text))
     # names that hold the arrow: a compose line is four words, not split at '->'
     fixtures.append((Trame(("a->b", "->", "c"), {(0, 1): 1, (1, 1): 0, (2, 1): 2}), (0, 1, 0)))
+    # braces, commas, bars and arrows: any name without whitespace or '}'
+    fixtures.append((Trame(("{a", "{", "a,b", ",", "|", "a|b", "{,|->", "{{"),
+                           {(0, 1): 2, (2, 3): 4, (5, 6): 7, (7, 7): 0}), (0, 1, 0, 2, 1, 3, 3, 2)))
     rng = random.Random(1)
     for _ in range(30):
         n = rng.randint(1, 6)
@@ -613,6 +629,18 @@ def test_non_string_entry_names_are_malformed_input(tmp_path):
             r = run_cli(*argv)
             assert r.returncode == 2 and r.stdout == "", argv
             assert r.stderr == f"error: unknown element name {shown} in entry (0,0)\n"
+    elements = '"elements" must be a non-empty list of strings'
+    for i, (text, message) in enumerate([
+            ('{"elements":[],"table":[]}', elements),
+            ('{"elements":"ab","table":[]}', elements),
+            ('{"elements":["a",1],"table":[]}', elements),
+            ('{"elements":["a","b"],"table":[[["a"],["b"]],[["a"]]]}',
+             "table row 1 must have 2 entries"),
+            ('{"elements":["a"],"table":[["a"]]}', "table entry (0,0) must be a list of names")]):
+        p = tmp_path / f"shape{i}.json"
+        p.write_text(text)
+        r = run_cli("verify", str(p))
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n"), text
 
 
 def test_huge_symmetric_degree_refused_at_once():

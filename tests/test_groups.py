@@ -186,9 +186,12 @@ def test_verify_group_identity_and_inverse_failures():
             build([[0, 1], [1, 1]])  # monoid, 1 has no inverse
         assert e.value.kind == "inverse"
         assert e.value.witness == 1
-        with pytest.raises(GroupError) as e:
-            build([[0]], names=("a", "b"))
-        assert e.value.kind == "names"
+        # too many names, a duplicate name, an empty name
+        for table, names in (([[0]], ("a", "b")), ([[0, 1], [1, 0]], ("a", "a")),
+                             ([[0, 1], [1, 0]], ("a", ""))):
+            with pytest.raises(GroupError) as e:
+                build(table, names=names)
+            assert e.value.kind == "names", names
 
 
 def test_verify_group_accepts_z8(z8):
