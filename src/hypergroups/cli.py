@@ -250,8 +250,12 @@ def parse_trame(text: str) -> tuple[Trame, tuple[int, ...]]:
 
 
 def format_trame(t: Trame, r: Sequence[int]) -> str:
-    """Canonical text form; parse_trame inverts it exactly when no name
-    holds whitespace or a '}' (names a and a} in two classes fail)."""
+    """Canonical text form, which parse_trame inverts. A name holding
+    whitespace or a '}' cannot be written (names a and a} in two classes
+    would read back wrong), and ValueError names the first such name."""
+    bad = next((s for s in t.names if re.search(r"[\s}]", s)), None)
+    if bad is not None:
+        raise ValueError(f"trame name {bad!r} holds whitespace or '}}'")
     lines = ["elements: " + " ".join(t.names)]
     for (u, v), w in sorted(t.op.items()):
         lines.append(f"compose: {t.names[u]} {t.names[v]} -> {t.names[w]}")

@@ -561,26 +561,53 @@ def to_json(m: Multistructure) -> str:
     return json.dumps(json_obj(m), separators=(",", ":"))
 
 
-def from_json(text: str) -> Multistructure:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict) or set(obj) != {"elements", "table"}:
-        raise ParseError('structure JSON needs exactly the keys "elements" and "table"')
-    names = obj["elements"]
+_space = json.decoder.WHITESPACE.match  # JSON whitespace, compiled by json itself
+_decode = json.JSONDecoder().raw_decode
+
+
+def _past(text: str, pos: int, *tokens: str) -> int:
+    """The position past tokens read from pos, each with any JSON
+    whitespace around it; a ValueError where the text holds other data."""
+    for token in tokens:
+        pos = _space(text, pos).end()
+        if not text.startswith(token, pos):
+            raise ValueError("layout")
+        pos += len(token)
+    return _space(text, pos).end()
+
+
+def _table_rows(text: str, pos: int) -> Iterator:
+    """The rows of the "table" that follows "elements" at pos, decoded one
+    at a time, ending once the closing brackets and the end of the text
+    are checked; a ValueError where the text leaves to_json's layout."""
+    pos = _past(text, pos, ",", '"table"', ":", "[")
+    while True:
+        row, pos = _decode(text, pos)
+        yield row
+        pos = _space(text, pos).end()
+        if text.startswith("]", pos):
+            break
+        pos = _past(text, pos, ",")
+    if _past(text, pos, "]", "}") != len(text):
+        raise ValueError("layout")
+
+
+def _structure(names, rows) -> Multistructure:
+    """The structure of decoded "elements" and "table" values; rows may
+    also be an iterator that decodes the rows one at a time. Each distinct
+    entry is converted once."""
     if (not isinstance(names, list) or not names
             or any(not isinstance(s, str) for s in names)):
         raise ParseError('"elements" must be a non-empty list of strings')
     if len(set(names)) != len(names):
         raise ParseError("duplicate element name")
     n = len(names)
-    index = {s: i for i, s in enumerate(names)}
-    rows = obj["table"]
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ParseError(f"table must have {n} rows")
+    check_carrier_size(n)
+    wrong_count = ParseError(f"table must have {n} rows")
+    if not isinstance(rows, Iterator) and (not isinstance(rows, list) or len(rows) != n):
+        raise wrong_count
+    index = {s: 1 << i for i, s in enumerate(names)}
+    masks: dict[tuple, int] = {}  # an entry's names -> its mask
     table = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
@@ -589,11 +616,45 @@ def from_json(text: str) -> Multistructure:
         for j, entry in enumerate(row):
             if not isinstance(entry, list):
                 raise ParseError(f"table entry ({i},{j}) must be a list of names")
-            mask = 0
-            for s in entry:
-                if not isinstance(s, str) or s not in index:
-                    raise ParseError(f"unknown element name {s!r} in entry ({i},{j})")
-                mask |= 1 << index[s]
+            key = tuple(entry)
+            try:
+                mask = masks[key]
+            except (KeyError, TypeError):  # not met yet, or holding a list or object
+                mask = 0
+                for s in entry:
+                    if not isinstance(s, str) or s not in index:
+                        raise ParseError(f"unknown element name {s!r} in entry ({i},{j})")
+                    mask |= index[s]
+                masks[key] = mask
             out_row.append(mask)
         table.append(tuple(out_row))
+    if len(table) != n:
+        raise wrong_count
     return Multistructure(tuple(names), tuple(table))
+
+
+def from_json(text: str) -> Multistructure:
+    """Read the canonical JSON form.
+
+    A text laid out as to_json writes it, up to JSON whitespace, is read
+    one row at a time: the names, then each row of the table, turned into
+    masks before the next row is decoded. A carrier wider than the mask
+    width is refused once its names are checked. Any other text (keys in
+    another order or repeated, a fault, invalid JSON) is decoded whole, for
+    json's own message or the first fault in the order keys, names, row
+    count, rows.
+    """
+    try:
+        names, pos = _decode(text, _past(text, 0, "{", '"elements"', ":"))
+        return _structure(names, _table_rows(text, pos))
+    except (ValueError, RecursionError):
+        pass  # decoded whole below
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    if not isinstance(obj, dict) or set(obj) != {"elements", "table"}:
+        raise ParseError('structure JSON needs exactly the keys "elements" and "table"')
+    return _structure(obj["elements"], obj["table"])

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import settings
@@ -9,6 +10,7 @@ from hypergroups.core import (
     Frozen,
     Hypergroup,
     Multistructure,
+    ParseError,
     check_mask,
     members,
     product_of_sets,
@@ -162,6 +164,47 @@ def all_triples_quotient_by(h, c):
     """quotient_by read off every product triple of h, not only those of
     the classes' least members."""
     return Hypergroup.certify(quotient_table(h.names, products(h), c.eq.class_of))
+
+
+def tree_from_json(text):
+    """core.from_json with the whole document decoded first: json's own
+    errors, then the keys, the names, the row count and the rows, in that
+    order."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    if not isinstance(obj, dict) or set(obj) != {"elements", "table"}:
+        raise ParseError('structure JSON needs exactly the keys "elements" and "table"')
+    names = obj["elements"]
+    if (not isinstance(names, list) or not names
+            or any(not isinstance(s, str) for s in names)):
+        raise ParseError('"elements" must be a non-empty list of strings')
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate element name")
+    n = len(names)
+    index = {s: i for i, s in enumerate(names)}
+    rows = obj["table"]
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ParseError(f"table must have {n} rows")
+    table = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise ParseError(f"table row {i} must have {n} entries")
+        out_row = []
+        for j, entry in enumerate(row):
+            if not isinstance(entry, list):
+                raise ParseError(f"table entry ({i},{j}) must be a list of names")
+            mask = 0
+            for s in entry:
+                if not isinstance(s, str) or s not in index:
+                    raise ParseError(f"unknown element name {s!r} in entry ({i},{j})")
+                mask |= 1 << index[s]
+            out_row.append(mask)
+        table.append(tuple(out_row))
+    return Multistructure(tuple(names), tuple(table))
 
 
 def naive_json_obj(m):

@@ -403,7 +403,9 @@ def test_one_partition_grammar(tmp_path, monkeypatch, capsys):
     group = tmp_path / "g8.json"
     group.write_text(to_json(Multistructure(names, as_hypergroup(cyclic_group(8)).table)))
     trame = tmp_path / "g8.trame"
-    trame.write_text(format_trame(Trame(names, {}), (0,) * 8))
+    # written by hand: format_trame refuses the name {x}, which this
+    # classes line reads back whole
+    trame.write_text(f"elements: {' '.join(names)}\nclasses: {{{' '.join(names)}}}\n")
     seen = []
     monkeypatch.setattr(cli, "is_invariant_modulo_equiv", lambda t, r, s: not seen.append(s))
     rng = random.Random(10)
@@ -619,6 +621,24 @@ def test_trame_roundtrip():
         t2, r2 = parse_trame(format_trame(trame, rel3))
         assert t2.names == trame.names and t2.op == trame.op
         assert r2 == tuple(rel3)
+
+
+def test_wide_structure_file_is_refused_before_its_rows(tmp_path):
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps({"elements": [f"x{i}" for i in range(65)], "table": []}))
+    r = run_cli("verify", str(p))
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == "error: carrier size 65 exceeds mask width 64\n"
+
+
+def test_format_trame_refuses_names_it_cannot_write():
+    # {a} {a}} would read back with the name {a}, {}{} with an empty block,
+    # and a b as two names
+    for names, bad in [(("a", "a}"), "a}"), (("}{",), "}{"), (("c", "a b", "d}"), "a b")]:
+        t = Trame(names, {})
+        with pytest.raises(ValueError) as e:
+            format_trame(t, tuple(range(len(names))))
+        assert str(e.value) == f"trame name {bad!r} holds whitespace or '}}'"
 
 
 def test_non_string_entry_names_are_malformed_input(tmp_path):

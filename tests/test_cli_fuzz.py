@@ -8,14 +8,17 @@ or lower, so nothing large is built.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hypergroups import cli
 from hypergroups.constructions import s_family
-from hypergroups.core import from_json, members, to_json
+from hypergroups.core import CapExceeded, ParseError, from_json, members, to_json
 from hypergroups.groups import as_hypergroup, cyclic_group, symmetric_group
+
+from conftest import tree_from_json
 
 NAMES = ("e", "a", "b", "c", "0", "1", "2", "3", "x,y", "012", "102", "|", "{")
 GARBAGE = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
@@ -200,3 +203,92 @@ def test_every_verb_exits_with_a_contract_code(workdir, verb, data):
 def test_structure_json_roundtrip(text):
     m = from_json(text)
     assert from_json(to_json(m)) == m
+
+
+def outcome(read, text):
+    """What read makes of text: a structure, or the type and message of
+    what it raised."""
+    try:
+        return read(text)
+    except Exception as e:
+        return type(e), str(e)
+
+
+REWRITES = ["keep", "pretty", "spaced", "separator", "reordered", "duplicate-key", "extra-key",
+            "bom", "trailing", "nan", "deep"]
+
+
+@st.composite
+def rewritten(draw, how):
+    """A valid text, now and then cut short or spliced with garbage, then
+    rewritten: pretty-printed or with its keys reordered when it decodes,
+    spaces that JSON may or may not skip around each bracket, brace, colon
+    or comma of one kind, another separator between two rows, a key
+    repeated or added, a BOM before it, data after it, a NaN or an
+    Infinity in its first entry, or that entry nested 100,000 deep."""
+    text = draw(mutated(st.one_of(st.sampled_from(KNOWN), random_structure())))
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError):
+        obj = None
+    if how == "pretty" and obj is not None:
+        return json.dumps(obj, indent=draw(st.sampled_from([None, 0, 1, "\t", " \r\n"])))
+    if how == "spaced":
+        mark = draw(st.sampled_from("[]{}:,"))
+        space = draw(st.sampled_from([" ", "\t\n", "\r", "\f", "\x0b", "\xa0", "\u3000"]))
+        return text.replace(mark, space + mark + space)
+    if how == "separator":
+        between = draw(st.sampled_from([";", ":", "", " ", ",,"]))
+        return text.replace("]],[[", "]]" + between + "[[", 1)
+    if how == "reordered" and isinstance(obj, dict):
+        return json.dumps(dict(reversed(obj.items())))
+    if how == "duplicate-key":
+        return text.replace(*draw(st.sampled_from([
+            ('"table":', '"table":[],"table":'), ('"table":', '"table":[[["e"]]],"table":'),
+            ('"elements":', '"elements":["zz"],"elements":')])), 1)
+    if how == "extra-key":
+        if draw(st.booleans()):
+            return text.replace("{", '{"extra":1,', 1)
+        return re.sub(r"\}\s*$", ',"extra":[]}', text)
+    if how == "bom":
+        return "\ufeff" + text
+    if how == "trailing":
+        return text + draw(st.sampled_from([" x", "{}", "]", " \n\t", ","]))
+    if how == "nan":
+        return re.sub(*draw(st.sampled_from([(r"\[\[\[[^\[\]]*\]", "[[NaN"),
+                                             (r'\[\[\["', '[[[NaN,"'),
+                                             (r'\["', '[Infinity,"')])), text, count=1)
+    if how == "deep":
+        return text.replace("[[[", "[[" + "[" * 100000, 1)
+    return text
+
+
+@pytest.mark.parametrize("how", REWRITES)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_row_reader_matches_tree_reader(how, data):
+    text = data.draw(rewritten(how))
+    assert outcome(from_json, text) == outcome(tree_from_json, text), text[:200]
+
+
+def test_row_reader_matches_tree_reader_on_fixed_texts():
+    # nesting too deep, a syntax error after a shape fault, the shape
+    # faults, and a valid text with and without whitespace
+    for text in ["[" * 100000, '{"elements":["a"],"table":[' + "[" * 100000,
+                 '{"elements":["a"],"table":[[[' + "[" * 100000 + "]]]]]}",
+                 '{"elements":["a"],"table":[[["b"]]] x',
+                 '{"elements":["a","a"],"table":[[["a"]]],',
+                 '{"elements":["a"],"table":[]}', '{"elements":["a"],"table":5}',
+                 '{"elements":["a"],"table":[[["a"]],[["a"]]]}', '{"elements":["a"]}',
+                 '{"elements":["a"],"table":[[["a"],["a"]],[["b"]]]}',
+                 '{"elements":["a"],"table":[[["a"]]]}',
+                 ' {\n"elements" :\t["a"] ,"table":[[ ["a"] ] ]}\r\n']:
+        assert outcome(from_json, text) == outcome(tree_from_json, text), text[:60]
+
+
+def test_wide_carrier_is_refused_before_its_rows():
+    # the one intended difference: the tree reader refused the table shape
+    for text in [json.dumps({"elements": [f"x{i}" for i in range(65)], "table": []}),
+                 json.dumps({"table": [], "elements": [f"x{i}" for i in range(65)]})]:
+        assert outcome(tree_from_json, text) == (ParseError, "table must have 65 rows")
+        assert outcome(from_json, text) == (CapExceeded, "carrier size 65 exceeds mask width 64")

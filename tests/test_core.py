@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -509,8 +510,10 @@ def json_corpus():
     return out
 
 
-def test_to_json_matches_the_per_cell_form():
+def test_to_json_matches_the_per_cell_form(monkeypatch):
     corpus = json_corpus()
+    # what to_json writes is read one row at a time, never decoded whole
+    monkeypatch.setattr(core.json, "loads", None)
     for m in corpus:
         want = naive_json_obj(m)
         assert json_obj(m) == want
@@ -541,6 +544,21 @@ def test_json_obj_builds_one_list_per_distinct_product(monkeypatch):
         assert len({id(e) for row in obj["table"] for e in row}) == len(distinct)
         counts.append(len(calls))
     assert counts[7:10] == [1, 1, 1] and counts[15:17] == [48, 24]
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 20, 15), (8, 1, 12, 12), (6, 6, 6, 6)])
+def test_from_json_holds_one_row_at_a_time(sizes):
+    # the whole document decoded at once peaks at 9-10 times the text
+    m = s_family(sizes)
+    text = to_json(m)
+    tracemalloc.start()
+    try:
+        read = from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == m
+    assert peak < 2 * len(text)
 
 
 

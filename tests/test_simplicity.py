@@ -10,9 +10,11 @@ from hypergroups.core import (
     Hypergroup,
     Multistructure,
     find_isomorphism,
+    from_json,
     is_group,
     members,
     opposite,
+    to_json,
     verify_axioms,
 )
 from hypergroups.groups import (
@@ -335,15 +337,15 @@ def test_quotient_by_matches_all_triples():
     assert compared == 5731
 
 
-def relabelled(h, perm):
-    """h with element x renamed perm[x]: perm[x].perm[y] = perm(x.y)."""
-    n = h.n
+def relabelled(m, perm):
+    """m with element x renamed perm[x]: perm[x].perm[y] = perm(x.y)."""
+    n = m.n
     names, rows = [None] * n, [[0] * n for _ in range(n)]
     for x in range(n):
-        names[perm[x]] = h.names[x]
+        names[perm[x]] = m.names[x]
         for y in range(n):
-            rows[perm[x]][perm[y]] = sum(1 << perm[w] for w in members(h.table[x][y]))
-    return Hypergroup.certify(Multistructure(tuple(names), tuple(map(tuple, rows))))
+            rows[perm[x]][perm[y]] = sum(1 << perm[w] for w in members(m.table[x][y]))
+    return Multistructure(tuple(names), tuple(map(tuple, rows)))
 
 
 def partitions_of(found, perm=None):
@@ -360,7 +362,7 @@ def test_congruences_follow_a_relabelling(m, data):
     assume(verify_axioms(m).is_hypergroup)
     h = Hypergroup.certify(m)
     perm = data.draw(st.permutations(range(h.n)))
-    ph = relabelled(h, perm)
+    ph = Hypergroup.certify(relabelled(h, perm))
     found, pfound = reflector_congruences(h), reflector_congruences(ph)
     assert partitions_of(pfound) == partitions_of(found, perm)
     rep, prep = simplicity_report(h), simplicity_report(ph)
@@ -368,6 +370,38 @@ def test_congruences_follow_a_relabelling(m, data):
     assert len(reflets(ph)) == len(reflets(h))
     op = Hypergroup.certify(opposite(h))
     assert [c.eq for c in reflector_congruences(op)] == [c.eq for c in found]
+
+
+def axiom_verdicts(m):
+    rep = verify_axioms(m)
+    return rep.associative, rep.reproductive, rep.all_products_nonempty
+
+
+@settings(max_examples=60)
+@given(small_hypergroup_tables(), st.data())
+def test_axiom_verdicts_follow_a_relabelling(m, data):
+    # the witnesses come first in index order and may move; the verdicts
+    # may not. The relabelled table is read back from its JSON form.
+    perm = data.draw(st.permutations(range(m.n)))
+    assert axiom_verdicts(from_json(to_json(relabelled(m, perm)))) == axiom_verdicts(m)
+
+
+def test_s_family_axiom_verdicts_follow_a_relabelling():
+    # one table of each shape, and a copy with one product bit flipped
+    rng = random.Random(23)
+    seen = []
+    for sizes in [(3, 2, 20, 15), (8, 1, 12, 12), (6, 6, 6, 6)]:
+        m = s_family(sizes)
+        rows = [list(row) for row in m.table]
+        rows[rng.randrange(m.n)][rng.randrange(m.n)] ^= 1 << rng.randrange(m.n)
+        flipped = Multistructure(m.names, tuple(map(tuple, rows)))
+        for t in (m, flipped):
+            want = axiom_verdicts(t)
+            seen.append(want)
+            perm = rng.sample(range(m.n), m.n)
+            assert axiom_verdicts(from_json(to_json(relabelled(t, perm)))) == want
+    assert seen == [(False, True, True)] * 2 + [(False, False, False)] * 2 + [
+        (True, True, True), (False, True, True)]
 
 
 def test_quotient_by_identity_reproduces(z8h):
