@@ -396,9 +396,9 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
     candidates in index order, so the result is the first bijection in
     lexicographic backtracking order. Candidates are pruned by per-element
     invariants (sorted row/column product-size profiles, |x.x|, x in x.x)
-    and by product-membership consistency over the assigned prefix. The
-    search yields the bijections in that order, and taking the first
-    stops it.
+    and by the morphism condition cut to the assigned prefix and its image,
+    which on the whole carrier makes g an isomorphism. The search yields the
+    bijections in that order, and taking the first stops it.
     """
     n = a.n
     if n != b.n:
@@ -408,41 +408,40 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
     if sorted(inv_a) != sorted(inv_b):
         return None
     candidates = [tuple(v for v in range(n) if inv_b[v] == inv_a[x]) for x in range(n)]
+    ta, tb = a.table, b.table
+    g, bit = [0] * n, [0] * n  # bit[z] = 1 << g[z] for z in dom
 
-    g = [-1] * n
-    used = [False] * n
-
-    def consistent(k: int) -> bool:
-        # products among assigned elements must agree on size and on
-        # membership of assigned elements; checks the pairs touching k
-        # plus membership of k in older pairs.
+    def consistent(k: int, dom: int, cod: int) -> bool:
+        # g maps each product with k, cut to dom, onto its image cut to cod;
+        # then k lies in each older product as g(k) lies in its image
+        v = g[k]
         for p in range(k + 1):
-            for (s, t) in ((p, k), (k, p)):
-                ae = a.table[s][t]
-                be = b.table[g[s]][g[t]]
-                if ae.bit_count() != be.bit_count():
+            for m, e in ((ta[p][k] & dom, tb[g[p]][v]), (ta[k][p] & dom, tb[v][g[p]])):
+                img, m = (cod, 0) if m == dom else (0, m)  # dom maps onto cod
+                while m:
+                    low = m & -m
+                    img, m = img | bit[low.bit_length() - 1], m ^ low
+                if img != e & cod:
                     return False
-                for z in range(k + 1):
-                    if (ae >> z & 1) != (be >> g[z] & 1):
-                        return False
         for p in range(k):
+            ap, bp = ta[p], tb[g[p]]
             for q in range(k):
-                if (a.table[p][q] >> k & 1) != (b.table[g[p]][g[q]] >> g[k] & 1):
+                if (ap[q] >> k & 1) != (bp[g[q]] >> v & 1):
                     return False
         return True
 
-    def assign(k: int) -> Iterator[tuple[int, ...]]:
+    def assign(k: int, dom: int, cod: int) -> Iterator[tuple[int, ...]]:
         if k == n:
             yield tuple(g)
             return
+        dom |= 1 << k
         for v in candidates[k]:
-            if not used[v]:
-                g[k], used[v] = v, True
-                if consistent(k):
-                    yield from assign(k + 1)
-                used[v] = False
+            if not cod >> v & 1:
+                g[k], bit[k] = v, 1 << v
+                if consistent(k, dom, cod | bit[k]):
+                    yield from assign(k + 1, dom, cod | bit[k])
 
-    return next(assign(0), None)
+    return next(assign(0, 0, 0), None)
 
 
 def restricted_growth(labels: Iterable) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from hypergroups.core import (
     Hypergroup,
     Multistructure,
     ParseError,
+    _element_invariant,
     check_mask,
     members,
     product_of_sets,
@@ -585,6 +586,72 @@ def all_pairs_node_ok(i, labels, cmask, rowsum, colsum, table, nextrow, nextcol)
                 or s2req & ~s3pos or s3req & ~s2pos):
             return False
     return True
+
+
+# --- the isomorphism search comparing one element at a time ----------------
+
+
+def per_element_isomorphism(a, b):
+    """find_isomorphism as it was before it compared masks: the same
+    candidates in the same order, each pair with k compared on product
+    size and then element by element over the prefix, and injectivity
+    kept in a used list that every branch undoes."""
+    n = a.n
+    if n != b.n:
+        return None
+    inv_a = [_element_invariant(a, x) for x in range(n)]
+    inv_b = [_element_invariant(b, x) for x in range(n)]
+    if sorted(inv_a) != sorted(inv_b):
+        return None
+    candidates = [tuple(v for v in range(n) if inv_b[v] == inv_a[x]) for x in range(n)]
+    g = [-1] * n
+    used = [False] * n
+
+    def consistent(k):
+        for p in range(k + 1):
+            for (s, t) in ((p, k), (k, p)):
+                ae = a.table[s][t]
+                be = b.table[g[s]][g[t]]
+                if ae.bit_count() != be.bit_count():
+                    return False
+                for z in range(k + 1):
+                    if (ae >> z & 1) != (be >> g[z] & 1):
+                        return False
+        for p in range(k):
+            for q in range(k):
+                if (a.table[p][q] >> k & 1) != (b.table[g[p]][g[q]] >> g[k] & 1):
+                    return False
+        return True
+
+    def assign(k):
+        if k == n:
+            yield tuple(g)
+            return
+        for v in candidates[k]:
+            if not used[v]:
+                g[k], used[v] = v, True
+                if consistent(k):
+                    yield from assign(k + 1)
+                used[v] = False
+
+    return next(assign(0), None)
+
+
+def is_set_isomorphism(a, b, g):
+    """g is a bijection of the carriers with g(x.y) = g(x).g(y), checked on
+    sets of indices."""
+    ta, tb = table_sets(a), table_sets(b)
+    return sorted(g) == list(range(b.n)) == list(range(a.n)) and all(
+        frozenset(g[z] for z in ta[x][y]) == tb[g[x]][g[y]]
+        for x in range(a.n) for y in range(a.n))
+
+
+def direct_product(g, h):
+    """G x H, the pair (x, y) at index x * |H| + y, named "(x,y)"."""
+    table = [[h.n * g.table[x][u] + h.table[y][v] for u in range(g.n) for v in range(h.n)]
+             for x in range(g.n) for y in range(h.n)]
+    names = tuple(f"({a},{b})" for a in g.names for b in h.names)
+    return verify_group(table, names)
 
 
 # --- group corpus -------------------------------------------------------------

@@ -45,7 +45,7 @@ from hypergroups.constructions import (
     s_family_class,
 )
 from hypergroups.groups import (GroupTable, Subgroup, as_hypergroup, cyclic_group,
-                                stabilizer_subgroup, symmetric_group)
+                                dihedral_group, stabilizer_subgroup, subgroups, symmetric_group)
 from hypergroups.presentations import AdequacyReport, Presentation, Trame
 from hypergroups.simplicity import ReflectorCongruence, SimplicityReport
 
@@ -53,11 +53,14 @@ from conftest import (
     CogroupReport,
     all_equivalences,
     cogroup_report,
+    direct_product,
     identity_relation,
     is_cogroup,
+    is_set_isomorphism,
     naive_axiom_report,
     naive_is_reflector,
     naive_json_obj,
+    per_element_isomorphism,
     set_product,
     refines,
     table_sets,
@@ -233,6 +236,16 @@ def test_is_group_and_power():
     assert power(k, 1, 2) == 0b11
 
 
+def test_power_and_mapping_refuse_what_they_cannot_evaluate():
+    m = cyclic_ms(3)
+    with pytest.raises(ValueError, match="^power needs k >= 1$"):
+        power(m, 1, 0)
+    with pytest.raises(ValueError, match="^image must assign every domain element$"):
+        Mapping(m, m, (0, 1))
+    with pytest.raises(ValueError, match="^image value out of codomain range$"):
+        Mapping(m, m, (0, 1, 3))
+
+
 def test_opposite_involution_and_flags():
     m = cyclic_ms(4)
     assert opposite(opposite(m)) == m
@@ -401,6 +414,94 @@ def test_find_isomorphism_on_random_relabelings(perm):
     assert find_isomorphism(other, base) is not None
 
 
+def iso_corpus():
+    """Families of structures; a family's pairs of equal size meet the
+    search's deep branches, a relabelled copy its answers."""
+    from hypergroups.simplicity import reflets
+    groups = [as_hypergroup(cyclic_group(k)).m for k in range(1, 17)] + [
+        as_hypergroup(dihedral_group(k)).m for k in range(1, 9)]  # orders up to 16
+    cosets = [f(g, h).m for g in (symmetric_group(4), dihedral_group(6)) for h in subgroups(g)
+              for f in (right_coset_hypergroup, left_coset_hypergroup)]
+    sfam = [s_family(sizes) for sizes in
+            ((3,), (5,), (1, 1), (2, 2), (3, 3), (3, 4), (2, 2, 2), (1, 2, 3), (4, 4))]
+    quotients = [q.m for h in (Hypergroup.certify(s_family((3, 3))),
+                               as_hypergroup(cyclic_group(12))) for q in reflets(h)]
+    return [groups, cosets, sfam, quotients]
+
+
+def test_find_isomorphism_matches_per_element_oracle():
+    # the first bijection in backtracking order, or None, as before
+    rng = random.Random(24)
+    pairs = []
+    for family in iso_corpus():
+        pairs += [(a, b) for a, b in itertools.product(family, repeat=2) if a.n == b.n]
+        pairs += [(a, relabel(a, rng.sample(range(a.n), a.n))) for a in family]
+    found = 0
+    for a, b in pairs:
+        g = find_isomorphism(a, b)
+        assert g == per_element_isomorphism(a, b), (a.names, b.names)
+        if g is not None:
+            assert is_set_isomorphism(a, b, g)
+            found += 1
+    assert (len(pairs), found) == (1780, 660)
+
+
+ISO_BASES = [cyclic_ms(k) for k in range(1, 9)] + [
+    as_hypergroup(dihedral_group(k)).m for k in (2, 3, 4)] + [
+    s_family(sizes) for sizes in ((3,), (1, 1), (2, 2), (1, 2), (3, 3), (2, 2, 2))] + [
+    Multistructure(tuple("abcdefgh"[:k]), tuple(((1 << k) - 1,) * k for _ in range(k)))
+    for k in (1, 5, 8)]  # total hypergroups
+
+
+@st.composite
+def iso_pairs(draw):
+    """A table on 1-8 elements and a relabelled copy, as drawn, with one
+    bit flipped, or with one member of a product moved to a non-member.
+    The table is uniform random, has every product of one random size
+    (so only x in x.x tells elements apart), or comes from ISO_BASES."""
+    kind = draw(st.sampled_from(["uniform", "one size", "base"]))
+    if kind == "base":
+        a = draw(st.sampled_from(ISO_BASES))
+    else:
+        n = draw(st.integers(1, 8))
+        size = draw(st.integers(1, n))
+        entry = (st.integers(0, (1 << n) - 1) if kind == "uniform" else
+                 st.sets(st.integers(0, n - 1), min_size=size, max_size=size).map(mask_of))
+        a = Multistructure(tuple(f"x{i}" for i in range(n)),
+                           tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+    rows = [list(r) for r in relabel(a, draw(st.permutations(range(a.n)))).table]
+    x, y = draw(st.integers(0, a.n - 1)), draw(st.integers(0, a.n - 1))
+    inside, outside = members(rows[x][y]), members(a.full_mask & ~rows[x][y])
+    change = draw(st.sampled_from(["none", "flip", "move"]))
+    if change == "flip":
+        rows[x][y] ^= 1 << draw(st.integers(0, a.n - 1))
+    elif change == "move" and inside and outside:
+        rows[x][y] ^= 1 << draw(st.sampled_from(inside)) | 1 << draw(st.sampled_from(outside))
+    return a, Multistructure(a.names, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=400)
+@given(iso_pairs())
+def test_find_isomorphism_matches_oracle_on_relabelled_and_perturbed_tables(pair):
+    for a, b in (pair, pair[::-1]):
+        g = find_isomorphism(a, b)
+        assert g == per_element_isomorphism(a, b)
+        assert g is None or is_set_isomorphism(a, b, g)
+
+
+def test_find_isomorphism_on_direct_products():
+    # groups whose elements the candidate filter barely tells apart
+    z2 = cyclic_group(2)
+    c64 = as_hypergroup(cyclic_group(64)).m
+    z2_4 = as_hypergroup(direct_product(direct_product(z2, z2), direct_product(z2, z2))).m
+    z4_z2_2 = as_hypergroup(direct_product(cyclic_group(4), direct_product(z2, z2))).m
+    assert find_isomorphism(c64, as_hypergroup(dihedral_group(32)).m) is None
+    assert find_isomorphism(z2_4, z4_z2_2) is None
+    other = relabel(c64, random.Random(64).sample(range(64), 64))
+    g = find_isomorphism(c64, other)
+    assert g is not None and is_set_isomorphism(c64, other, g)
+
+
 def test_cogroup_report(utumi_z8, sym3):
     # row of the Utumi table over Z/8 with classes {0},{1,4,7},{2,3,5,6}:
     # x.0={x}, x.1 has 3 elements, x.2 has 4, so the row blocks partition H
@@ -434,6 +535,8 @@ def test_cogroup_report_failing_partition_clauses():
 def test_equivalence_relation_basics():
     with pytest.raises(ValueError):
         EquivalenceRelation((1, 0))  # not restricted-growth
+    with pytest.raises(ValueError, match="^relation over an empty carrier$"):
+        EquivalenceRelation(())
     with pytest.raises(ValueError):
         EquivalenceRelation((0, 2))
     e = EquivalenceRelation.from_blocks(4, [[0, 2], [1], [3]])

@@ -329,6 +329,11 @@ def test_dihedral_group_table(dih8):
     assert dih8.names[dih8.table[dih8.table[s][r1]][s]] == "r3"
 
 
+def test_dihedral_group_refuses_order_zero():
+    with pytest.raises(ValueError, match="^need m >= 1$"):
+        dihedral_group(0)
+
+
 def test_subgroups_of_z8(z8):
     subs = subgroups(z8)
     assert [(s.order, s.mask) for s in subs] == [

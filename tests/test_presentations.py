@@ -406,6 +406,14 @@ def test_invariance_trivial_cases(sym3):
     assert not is_invariant_modulo_equiv(t, r, coset_relation(sym3, 0b101, "right"))
 
 
+def test_invariance_refuses_relations_of_the_wrong_length(sym3):
+    t = group_trame(sym3)
+    r = coset_relation(sym3, 0b000011, "right")
+    for rr, ss in ((r[:5], r), (r, r + (2,))):
+        with pytest.raises(ValueError, match="^relations must label every trame element$"):
+            is_invariant_modulo_equiv(t, rr, ss)
+
+
 def test_invariance_agrees_with_subgroup_invariance(sym3, z8, dih8):
     for g in (sym3, z8, dih8):
         t = group_trame(g)

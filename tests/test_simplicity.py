@@ -12,6 +12,7 @@ from hypergroups.core import (
     find_isomorphism,
     from_json,
     is_group,
+    mask_of,
     members,
     opposite,
     to_json,
@@ -60,6 +61,7 @@ from conftest import (
     all_triples_quotient_by,
     blocks_of,
     identity_relation,
+    is_set_isomorphism,
     naive_congruence_search,
     naive_is_invariant_modulo,
     naive_quotient_by,
@@ -370,6 +372,55 @@ def test_congruences_follow_a_relabelling(m, data):
     assert len(reflets(ph)) == len(reflets(h))
     op = Hypergroup.certify(opposite(h))
     assert [c.eq for c in reflector_congruences(op)] == [c.eq for c in found]
+
+
+@settings(max_examples=100)
+@given(small_hypergroup_tables(), st.data())
+def test_isomorphisms_follow_a_relabelling(m, data):
+    # the search assigns and tries elements in index order; whether it
+    # finds an isomorphism may not depend on it
+    pm = relabelled(m, data.draw(st.permutations(range(m.n))))
+    g = find_isomorphism(m, pm)
+    assert g is not None and is_set_isomorphism(m, pm, g)
+    if data.draw(st.booleans()):
+        k = data.draw(small_hypergroup_tables())
+    else:  # a relabelled copy with one member of a product moved, so
+        # that every product keeps its size
+        rows = [list(r) for r in pm.table]
+        x, y = data.draw(st.integers(0, m.n - 1)), data.draw(st.integers(0, m.n - 1))
+        inside, outside = members(rows[x][y]), members(m.full_mask & ~rows[x][y])
+        if inside and outside:
+            rows[x][y] ^= (1 << data.draw(st.sampled_from(inside))
+                           | 1 << data.draw(st.sampled_from(outside)))
+        k = Multistructure(pm.names, tuple(map(tuple, rows)))
+    g = find_isomorphism(m, k)
+    assert g is None or is_set_isomorphism(m, k, g)
+    pk = relabelled(k, data.draw(st.permutations(range(k.n))))
+    assert (find_isomorphism(pm, k) is None) == (g is None) == (find_isomorphism(m, pk) is None)
+
+
+def test_conjugate_subgroups_give_the_same_coset_report():
+    # xH -> xg^-1 . gHg^-1 maps the right coset space of H onto that of
+    # gHg^-1; the report on the interval [H, G] agrees with it
+    cases = 0
+    for grp in (symmetric_group(4), dihedral_group(6)):
+        t, inv = grp.table, grp.inverse
+        reports = {h.mask: coset_simplicity_report(grp, h) for h in subgroups(grp)}
+        seen = set()
+        for h in subgroups(grp):
+            for x in range(grp.n):
+                kmask = mask_of(t[t[x][y]][inv[x]] for y in members(h.mask))
+                a, b = reports[h.mask], reports[kmask]
+                assert (a.simple, a.invariant_count, a.checked) == \
+                    (b.simple, b.invariant_count, b.checked)
+                cases += 1
+                if (h.mask, kmask) not in seen:
+                    seen.add((h.mask, kmask))
+                    rh = right_coset_hypergroup(grp, h).m
+                    rk = right_coset_hypergroup(grp, Subgroup(grp, kmask)).m
+                    g = find_isomorphism(rh, rk)
+                    assert g is not None and is_set_isomorphism(rh, rk, g)
+    assert cases == 912
 
 
 def axiom_verdicts(m):
