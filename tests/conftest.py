@@ -11,7 +11,6 @@ from hypergroups.core import (
     Hypergroup,
     Multistructure,
     ParseError,
-    _element_invariant,
     check_mask,
     members,
     product_of_sets,
@@ -591,16 +590,27 @@ def all_pairs_node_ok(i, labels, cmask, rowsum, colsum, table, nextrow, nextcol)
 # --- the isomorphism search comparing one element at a time ----------------
 
 
+def profile_invariant(m, x):
+    """The candidate filter find_isomorphism used before the sizes of the
+    powers of x: the sorted row and column product sizes, |x.x|, and
+    whether x lies in x.x."""
+    row = tuple(sorted(e.bit_count() for e in m.table[x]))
+    col = tuple(sorted(m.table[y][x].bit_count() for y in range(m.n)))
+    diag = m.table[x][x]
+    return (row, col, diag.bit_count(), bool(diag >> x & 1))
+
+
 def per_element_isomorphism(a, b):
-    """find_isomorphism as it was before it compared masks: the same
-    candidates in the same order, each pair with k compared on product
-    size and then element by element over the prefix, and injectivity
-    kept in a used list that every branch undoes."""
+    """find_isomorphism as it was before it compared masks, with its own
+    candidate filter: candidates filtered by profile_invariant in index
+    order, each pair with k compared on product size and then element by
+    element over the prefix, and injectivity kept in a used list that
+    every branch undoes."""
     n = a.n
     if n != b.n:
         return None
-    inv_a = [_element_invariant(a, x) for x in range(n)]
-    inv_b = [_element_invariant(b, x) for x in range(n)]
+    inv_a = [profile_invariant(a, x) for x in range(n)]
+    inv_b = [profile_invariant(b, x) for x in range(n)]
     if sorted(inv_a) != sorted(inv_b):
         return None
     candidates = [tuple(v for v in range(n) if inv_b[v] == inv_a[x]) for x in range(n)]

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import reduce
 
 import pytest
 
@@ -13,6 +14,8 @@ from hypergroups.groups import (Subgroup, as_hypergroup, coset_relation, cyclic_
                                 symmetric_group)
 from hypergroups.presentations import Trame, group_trame
 from hypergroups.simplicity import SimplicityReport
+
+from conftest import direct_product
 
 STAB3 = ('{"elements":["e","y1","y2"],"table":[[["e"],["y1","y2"],["y1","y2"]],'
          '[["y1"],["e","y2"],["e","y2"]],[["y2"],["e","y1"],["e","y1"]]]}')
@@ -240,6 +243,19 @@ def test_iso_verb(files):
     r = run_cli("iso", files["cyc4.json"], files["stab3.json"])
     assert r.returncode == 1
     assert r.stdout == '{"isomorphic":false,"bijection":null}\n'
+
+
+def test_iso_refutes_abelian_groups_of_order_64(tmp_path):
+    # Z4^2 x Z2^2 and Z4 x Z2^4 differ in their counts of elements of
+    # order 4, which the candidate filter reads before any search
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    paths = []
+    for factors in ((z4, z4, z2, z2), (z4, z2, z2, z2, z2)):
+        paths.append(tmp_path / f"{len(factors)}.json")
+        paths[-1].write_text(to_json(as_hypergroup(reduce(direct_product, factors))))
+    r = subprocess.run([sys.executable, "-m", "hypergroups", "iso", *map(str, paths)],
+                       capture_output=True, text=True, timeout=20)
+    assert r.returncode == 1 and r.stdout == '{"isomorphic":false,"bijection":null}\n', r.stderr
 
 
 def test_opposite_involution(files):

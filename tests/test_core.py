@@ -1,4 +1,5 @@
 import copy
+from functools import reduce
 import itertools
 import json
 import pickle
@@ -18,6 +19,7 @@ from hypergroups.core import (
     Multistructure,
     NotAHypergroup,
     ParseError,
+    _element_invariant,
     find_isomorphism,
     from_json,
     is_group,
@@ -455,10 +457,10 @@ ISO_BASES = [cyclic_ms(k) for k in range(1, 9)] + [
 
 @st.composite
 def iso_pairs(draw):
-    """A table on 1-8 elements and a relabelled copy, as drawn, with one
-    bit flipped, or with one member of a product moved to a non-member.
-    The table is uniform random, has every product of one random size
-    (so only x in x.x tells elements apart), or comes from ISO_BASES."""
+    """A table on 1-8 elements, the permutation drawn, and the copy
+    relabelled by it, as it is, with one bit flipped, or with one member
+    of a product moved to a non-member. The table is uniform random, has
+    every product of one random size, or comes from ISO_BASES."""
     kind = draw(st.sampled_from(["uniform", "one size", "base"]))
     if kind == "base":
         a = draw(st.sampled_from(ISO_BASES))
@@ -469,7 +471,8 @@ def iso_pairs(draw):
                  st.sets(st.integers(0, n - 1), min_size=size, max_size=size).map(mask_of))
         a = Multistructure(tuple(f"x{i}" for i in range(n)),
                            tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
-    rows = [list(r) for r in relabel(a, draw(st.permutations(range(a.n)))).table]
+    perm = draw(st.permutations(range(a.n)))
+    rows = [list(r) for r in relabel(a, perm).table]
     x, y = draw(st.integers(0, a.n - 1)), draw(st.integers(0, a.n - 1))
     inside, outside = members(rows[x][y]), members(a.full_mask & ~rows[x][y])
     change = draw(st.sampled_from(["none", "flip", "move"]))
@@ -477,13 +480,16 @@ def iso_pairs(draw):
         rows[x][y] ^= 1 << draw(st.integers(0, a.n - 1))
     elif change == "move" and inside and outside:
         rows[x][y] ^= 1 << draw(st.sampled_from(inside)) | 1 << draw(st.sampled_from(outside))
-    return a, Multistructure(a.names, tuple(map(tuple, rows)))
+    return a, perm, Multistructure(a.names, tuple(map(tuple, rows)))
 
 
 @settings(max_examples=400)
 @given(iso_pairs())
-def test_find_isomorphism_matches_oracle_on_relabelled_and_perturbed_tables(pair):
-    for a, b in (pair, pair[::-1]):
+def test_find_isomorphism_matches_oracle_on_relabelled_and_perturbed_tables(drawn):
+    a, perm, b = drawn
+    pa = relabel(a, perm)  # uniform tables have empty products
+    assert all(_element_invariant(pa, perm[x]) == _element_invariant(a, x) for x in range(a.n))
+    for a, b in ((a, b), (b, a)):
         g = find_isomorphism(a, b)
         assert g == per_element_isomorphism(a, b)
         assert g is None or is_set_isomorphism(a, b, g)
@@ -497,6 +503,13 @@ def test_find_isomorphism_on_direct_products():
     z4_z2_2 = as_hypergroup(direct_product(cyclic_group(4), direct_product(z2, z2))).m
     assert find_isomorphism(c64, as_hypergroup(dihedral_group(32)).m) is None
     assert find_isomorphism(z2_4, z4_z2_2) is None
+    # abelian groups of orders 32 and 64 that no bijection maps onto each
+    # other: their counts of elements of each order differ
+    z4, z8 = cyclic_group(4), cyclic_group(8)
+    for factors, others in (((z2,) * 5, (z4, z2, z2, z2)), ((z2,) * 6, (z4,) + (z2,) * 4),
+                            ((z4,) * 3, (z8, z4, z2)), ((z4, z4, z2, z2), (z4,) + (z2,) * 4)):
+        assert find_isomorphism(*(as_hypergroup(reduce(direct_product, fs)).m
+                                  for fs in (factors, others))) is None
     other = relabel(c64, random.Random(64).sample(range(64), 64))
     g = find_isomorphism(c64, other)
     assert g is not None and is_set_isomorphism(c64, other, g)

@@ -9,6 +9,7 @@ from hypergroups.core import (
     EquivalenceRelation,
     Hypergroup,
     Multistructure,
+    _element_invariant,
     find_isomorphism,
     from_json,
     is_group,
@@ -379,7 +380,9 @@ def test_congruences_follow_a_relabelling(m, data):
 def test_isomorphisms_follow_a_relabelling(m, data):
     # the search assigns and tries elements in index order; whether it
     # finds an isomorphism may not depend on it
-    pm = relabelled(m, data.draw(st.permutations(range(m.n))))
+    perm = data.draw(st.permutations(range(m.n)))
+    pm = relabelled(m, perm)
+    assert all(_element_invariant(pm, perm[x]) == _element_invariant(m, x) for x in range(m.n))
     g = find_isomorphism(m, pm)
     assert g is not None and is_set_isomorphism(m, pm, g)
     if data.draw(st.booleans()):
