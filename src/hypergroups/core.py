@@ -382,12 +382,15 @@ def is_reflector(f: Mapping) -> bool:
             and saturation_identity(products(dom), f.image))
 
 
-def _element_invariant(m: Multistructure, x: int) -> tuple[int, ...]:
-    sizes, p, last = [], m.table[x][x], -1  # x.x, p.x, ... to a power holding x or repeating
+def _element_invariant(m: Multistructure, x: int) -> tuple:
+    row = tuple(sorted(e.bit_count() for e in m.table[x]))
+    col = tuple(sorted(m.table[y][x].bit_count() for y in range(m.n)))
+    # x.x, p.x, ... up to a power holding x or repeating
+    sizes, p, last = [], m.table[x][x], -1
     while len(sizes) < m.n and not p >> x & 1 and p != last:
         sizes.append(p.bit_count())
         p, last = reduce(or_, (m.table[z][x] for z in members(p)), 0), p
-    return (*sizes, p.bit_count())
+    return (row, col, *sizes, p.bit_count())
 
 
 def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int, ...]]:
@@ -395,16 +398,18 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
 
     Backtracking assigns domain elements in index order and tries codomain
     candidates in index order, so the result is the first bijection in
-    lexicographic backtracking order. Candidates are pruned by the sizes of
-    the powers x.x, (x.x).x, ... (on a group, the order of x), which g
-    keeps, and by the morphism condition cut to the assigned prefix and its
-    image, which on the whole carrier makes g an isomorphism. The search
-    yields the bijections in that order, and taking the first stops it.
+    lexicographic backtracking order. Candidates are pruned by per-element
+    invariants that g keeps (sorted row/column product-size profiles and the
+    sizes of x.x, (x.x).x, ..., on a group the order of x) and by the
+    morphism condition cut to the assigned prefix and its image, which on
+    the whole carrier makes g an isomorphism. The search yields the
+    bijections in that order, and taking the first stops it.
     """
     n = a.n
     if n != b.n:
         return None
-    inv_a, inv_b = ([_element_invariant(m, x) for x in range(n)] for m in (a, b))
+    inv_a = [_element_invariant(a, x) for x in range(n)]
+    inv_b = [_element_invariant(b, x) for x in range(n)]
     if sorted(inv_a) != sorted(inv_b):
         return None
     candidates = [tuple(v for v in range(n) if inv_b[v] == inv_a[x]) for x in range(n)]

@@ -591,9 +591,9 @@ def all_pairs_node_ok(i, labels, cmask, rowsum, colsum, table, nextrow, nextcol)
 
 
 def profile_invariant(m, x):
-    """The candidate filter find_isomorphism used before the sizes of the
-    powers of x: the sorted row and column product sizes, |x.x|, and
-    whether x lies in x.x."""
+    """The candidate filter find_isomorphism used before it read the sizes
+    of the powers of x: the sorted row and column product sizes, |x.x|,
+    and whether x lies in x.x."""
     row = tuple(sorted(e.bit_count() for e in m.table[x]))
     col = tuple(sorted(m.table[y][x].bit_count() for y in range(m.n)))
     diag = m.table[x][x]

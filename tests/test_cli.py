@@ -9,7 +9,7 @@ import pytest
 
 from hypergroups.cli import format_trame, parse_trame
 from hypergroups.constructions import canonical_presentation, s_family
-from hypergroups.core import Multistructure, restricted_growth, to_json
+from hypergroups.core import Hypergroup, Multistructure, restricted_growth, to_json
 from hypergroups.groups import (Subgroup, as_hypergroup, coset_relation, cyclic_group,
                                 symmetric_group)
 from hypergroups.presentations import Trame, group_trame
@@ -245,14 +245,28 @@ def test_iso_verb(files):
     assert r.stdout == '{"isomorphic":false,"bijection":null}\n'
 
 
-def test_iso_refutes_abelian_groups_of_order_64(tmp_path):
-    # Z4^2 x Z2^2 and Z4 x Z2^4 differ in their counts of elements of
-    # order 4, which the candidate filter reads before any search
-    z2, z4 = cyclic_group(2), cyclic_group(4)
+def total_hypergroup(n, shrunk=False):
+    full = (1 << n) - 1
+    table = [[full] * n for _ in range(n)]
+    if shrunk:  # 0.1 is H minus {2}: every product of 2 or more elements is still H
+        table[0][1] ^= 1 << 2
+    return Hypergroup(tuple(map(str, range(n))), tuple(map(tuple, table)))
+
+
+@pytest.mark.parametrize("pair", [
+    # Z4^2 x Z2^2 and Z4 x Z2^4 differ in their counts of elements of order 4
+    lambda: [as_hypergroup(reduce(direct_product, map(cyclic_group, orders)))
+             for orders in ((4, 4, 2, 2), (4, 2, 2, 2, 2))],
+    # the row of 0 differs in its product sizes, while every element of
+    # both tables lies in its own square
+    lambda: [total_hypergroup(12), total_hypergroup(12, shrunk=True)],
+], ids=["abelian-64", "total-12-shrunk"])
+def test_iso_refutes_before_searching(tmp_path, pair):
+    # the candidate filter separates each pair before any search
     paths = []
-    for factors in ((z4, z4, z2, z2), (z4, z2, z2, z2, z2)):
-        paths.append(tmp_path / f"{len(factors)}.json")
-        paths[-1].write_text(to_json(as_hypergroup(reduce(direct_product, factors))))
+    for i, h in enumerate(pair()):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_text(to_json(h))
     r = subprocess.run([sys.executable, "-m", "hypergroups", "iso", *map(str, paths)],
                        capture_output=True, text=True, timeout=20)
     assert r.returncode == 1 and r.stdout == '{"isomorphic":false,"bijection":null}\n', r.stderr

@@ -63,6 +63,7 @@ from conftest import (
     naive_is_reflector,
     naive_json_obj,
     per_element_isomorphism,
+    profile_invariant,
     set_product,
     refines,
     table_sets,
@@ -489,6 +490,11 @@ def test_find_isomorphism_matches_oracle_on_relabelled_and_perturbed_tables(draw
     a, perm, b = drawn
     pa = relabel(a, perm)  # uniform tables have empty products
     assert all(_element_invariant(pa, perm[x]) == _element_invariant(a, x) for x in range(a.n))
+    # the filter tells apart every two elements that the oracle's filter does
+    inv, old = ([[f(m, x) for x in range(m.n)] for m in (a, b)]
+                for f in (_element_invariant, profile_invariant))
+    assert all(old[0][x] == old[1][v] for x in range(a.n) for v in range(b.n)
+               if inv[0][x] == inv[1][v])
     for a, b in ((a, b), (b, a)):
         g = find_isomorphism(a, b)
         assert g == per_element_isomorphism(a, b)
