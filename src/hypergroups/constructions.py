@@ -48,7 +48,8 @@ def _coset_structure(g: GroupTable, h: Subgroup, side: str) -> Hypergroup:
     # the group's multiplication read on cosets, named xH or Hx after
     # their least members. x.(y.h) and (h.x).y lie in the coset of x.y, so
     # every x times each least y (on xH), or each least x times every y
-    # (on Hx), gives every product of cosets: n.k triples, k the index
+    # (on Hx), gives every product of cosets: n.k triples, k the index.
+    # A hypergroup: both bracketings of xH.yH.zH give the cosets in xHyHzH, as on Hx
     if h.parent != g:
         raise ValueError("subgroup belongs to a different group")
     labels, least, table = coset_relation(g, h.mask, side), [], g.table
@@ -57,8 +58,8 @@ def _coset_structure(g: GroupTable, h: Subgroup, side: str) -> Hypergroup:
             least.append(x)
     form, xs, ys = ("{}H", range(g.n), least) if side == "right" else ("H{}", least, range(g.n))
     triples = (((x, y), table[x][y]) for x in xs for y in ys)
-    return Hypergroup.certify(quotient_table(tuple(form.format(s) for s in g.names),
-                                             triples, labels))
+    q = quotient_table(tuple(form.format(s) for s in g.names), triples, labels)
+    return Hypergroup._proved(q.names, q.table)
 
 
 def right_coset_hypergroup(g: GroupTable, h: Subgroup) -> Hypergroup:
@@ -72,13 +73,11 @@ def left_coset_hypergroup(g: GroupTable, h: Subgroup) -> Hypergroup:
 
 
 def stabilizer_hypergroup(alpha: int) -> Hypergroup:
-    """The alpha-element table of a point stabilizer coset space:
-    e is neutral on the right and x.y = K minus {x} for every y != e,
-    so x.x.x is everything once alpha >= 3.
-
-    Coincides with s_family((alpha,)) after certification.
-    """
-    return Hypergroup.certify(s_family((alpha,)))
+    """s_family((alpha,)), the coset space of S_alpha over a point stabilizer
+    H: for y not in H, HyH is every permutation that moves the point, so
+    x.y = K minus {x}, and e is right-neutral; x.x.x is K once alpha >= 3."""
+    m = s_family((alpha,))
+    return Hypergroup._proved(m.names, m.table)
 
 
 def _s_family_sizes(sizes: Sequence[int]) -> tuple[int, ...]:

@@ -58,6 +58,7 @@ class Frozen:
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__dict__.get("_compared", cls._fields))
+        cls._slots = tuple(s for c in reversed(cls.__mro__) for s in vars(c).get("__slots__", ()))
 
     def __init__(self, *values):
         fields, defaults = self._fields, self._defaults
@@ -84,10 +85,10 @@ class Frozen:
 
     @classmethod
     def _proved(cls, *values):
-        """An instance whose checks the caller has already made: values
-        fill the class's own __slots__ in order, without running _check."""
+        """An instance whose checks the caller has already made: values fill
+        the inherited slots, then the class's own, in order; _check is not run."""
         obj = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values, strict=True):
+        for name, value in zip(cls._slots, values, strict=True):
             object.__setattr__(obj, name, value)
         return obj
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional, Sequence
 
-from .core import (CapExceeded, Frozen, Hypergroup, Multistructure, check_mask, mask_of,
+from .core import (CapExceeded, Frozen, Hypergroup, check_carrier_size, check_mask, mask_of,
                    members)
 
 DEFAULT_GROUP_CAP = 120
@@ -229,9 +229,11 @@ def dihedral_group(m: int) -> GroupTable:
 
 
 def as_hypergroup(g: GroupTable):
-    """The group as a univalent hypergroup on the same carrier."""
+    """The group as a univalent hypergroup on the same carrier: a group is a
+    hypergroup, and GroupTable._check has proved g a group."""
+    check_carrier_size(g.n)
     rows = tuple(tuple(1 << g.table[x][y] for y in range(g.n)) for x in range(g.n))
-    return Hypergroup.certify(Multistructure(g.names, rows))
+    return Hypergroup._proved(g.names, rows)
 
 
 class Subgroup(Frozen):

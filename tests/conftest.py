@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -12,11 +13,13 @@ from hypergroups.core import (
     Multistructure,
     ParseError,
     check_mask,
+    mask_of,
     members,
     product_of_sets,
     products,
     quotient_table,
     restricted_growth,
+    verify_axioms,
 )
 from hypergroups.groups import (
     GroupError,
@@ -26,10 +29,17 @@ from hypergroups.groups import (
     coset_relation,
     cyclic_group,
     dihedral_group,
+    subgroups,
     symmetric_group,
     verify_group,
 )
-from hypergroups.constructions import UtumiInput, stabilizer_hypergroup, utumi
+from hypergroups.constructions import (
+    UtumiInput,
+    left_coset_hypergroup,
+    right_coset_hypergroup,
+    stabilizer_hypergroup,
+    utumi,
+)
 from hypergroups.presentations import (
     Presentation,
     is_adequate,
@@ -158,6 +168,12 @@ def naive_quotient_by(h, eq):
               for b in reps)
         for a in reps)
     return tuple(h.names[r] for r in reps), table
+
+
+def axioms_hold(h):
+    """The check a construction that a theorem covers leaves out: h passes
+    verify_axioms, and certifying it gives h back."""
+    return verify_axioms(h).is_hypergroup and Hypergroup.certify(h) == h
 
 
 def all_triples_quotient_by(h, c):
@@ -665,6 +681,27 @@ def direct_product(g, h):
 
 
 # --- group corpus -------------------------------------------------------------
+
+
+def class_representatives(g):
+    """One subgroup per conjugacy class: the first of subgroups(g) in it."""
+    t, inv = g.table, g.inverse
+    seen, reps = set(), []
+    for h in subgroups(g):
+        if h.mask not in seen:
+            reps.append(h)
+            seen |= {mask_of(t[t[x][y]][inv[x]] for y in members(h.mask)) for x in range(g.n)}
+    return reps
+
+
+@functools.cache
+def class_coset_spaces():
+    """(G, H, (right, left)): both coset spaces of one subgroup per
+    conjugacy class of S5, D24 and S4 x Z2, up to index 64."""
+    groups = (symmetric_group(5), dihedral_group(24),
+              direct_product(symmetric_group(4), cyclic_group(2)))
+    return tuple((g, h, (right_coset_hypergroup(g, h), left_coset_hypergroup(g, h)))
+                 for g in groups for h in class_representatives(g) if g.n // h.order <= 64)
 
 
 def klein_group() -> GroupTable:

@@ -50,6 +50,8 @@ from hypergroups.constructions import (
 )
 
 from conftest import (
+    axioms_hold,
+    class_coset_spaces,
     cogroup_report,
     identity_relation,
     naive_coset_structure,
@@ -146,6 +148,20 @@ def test_coset_space_products_counted(monkeypatch):
     assert counts == [600, 600] and right.n == left.n == 5
 
 
+def test_coset_spaces_pass_the_axioms(sym4, dih12):
+    # coset spaces are returned unchecked, as both bracketings of three
+    # cosets give the cosets in their product; the check they leave out
+    # runs here, on every subgroup of S4 and D6 and on one subgroup per
+    # conjugacy class of S5, D24 and S4 x Z2 up to index 64
+    spaces = [(g, s, (right_coset_hypergroup(g, s), left_coset_hypergroup(g, s)))
+              for g in (sym4, dih12) for s in subgroups(g)]
+    spaces += class_coset_spaces()
+    for g, s, pair in spaces:
+        for h in pair:
+            assert axioms_hold(h), (g.names, s.mask, h.names)
+    assert len(spaces) == 30 + 16 + 18 + 22 + 33
+
+
 def test_normal_subgroup_gives_quotient_group(sym3):
     h = right_coset_hypergroup(sym3, Subgroup(sym3, 0b011001))
     assert is_group(h)
@@ -207,6 +223,20 @@ def test_stabilizer_hypergroup_matches_coset_table(sym3):
     h4 = stabilizer_hypergroup(4)
     coset4 = right_coset_hypergroup(sym4, stabilizer_subgroup(sym4, 0))
     assert h4.table == coset4.table
+
+
+def test_stabilizer_hypergroup_is_the_point_stabilizer_coset_space():
+    # stabilizer_hypergroup returns s_family((alpha,)) unchecked, as this
+    # coset space is a hypergroup
+    for alpha in range(1, 6):
+        g = symmetric_group(alpha)
+        coset = right_coset_hypergroup(g, stabilizer_subgroup(g, 0))
+        assert find_isomorphism(stabilizer_hypergroup(alpha), coset) is not None, alpha
+
+
+def test_stabilizer_hypergroups_pass_the_axioms():
+    for alpha in range(1, 13):
+        assert axioms_hold(stabilizer_hypergroup(alpha)), alpha
 
 
 def test_stabilizer_cube_covers_everything():

@@ -37,6 +37,7 @@ from hypergroups.presentations import group_trame, is_invariant_modulo_equiv
 from conftest import (
     all_pairs_from_permutations,
     alternating_subgroup,
+    axioms_hold,
     coset_mask,
     full_scan_group_check,
     naive_coset_relation,
@@ -662,6 +663,22 @@ def test_as_hypergroup_univalent(sym3):
     h = as_hypergroup(sym3)
     assert is_group(h)
     assert h.table[1][2].bit_count() == 1
+
+
+def test_as_hypergroup_of_every_conftest_group_passes_the_axioms(sym3, sym4, z8, dih8,
+                                                                 dih12, klein):
+    # as_hypergroup returns its table unchecked, as a group is a hypergroup
+    for g in (sym3, sym4, z8, dih8, dih12, klein):
+        assert axioms_hold(as_hypergroup(g)), g.names
+
+
+def test_as_hypergroup_refuses_a_group_wider_than_the_mask():
+    # the table is built without Multistructure's checks, so the mask-width
+    # refusal is as_hypergroup's own
+    for g in (cyclic_group(65), dihedral_group(33), cyclic_group(100)):
+        with pytest.raises(CapExceeded, match=f"carrier size {g.n} exceeds mask width 64"):
+            as_hypergroup(g)
+    assert as_hypergroup(cyclic_group(64)).n == 64
 
 
 def test_parity_helper(sym3):

@@ -60,7 +60,9 @@ from hypergroups.simplicity import (
 from conftest import (
     all_pairs_node_ok,
     all_triples_quotient_by,
+    axioms_hold,
     blocks_of,
+    class_coset_spaces,
     identity_relation,
     is_set_isomorphism,
     naive_congruence_search,
@@ -340,6 +342,17 @@ def test_quotient_by_matches_all_triples():
     assert compared == 5731
 
 
+def test_reflets_pass_the_axioms():
+    # quotient_by returns its table unchecked, as a reflet is a hypergroup;
+    # the check it leaves out runs here, on the corpus above
+    checked = 0
+    for h in skip_corpus():
+        for c in reflector_congruences(h, cap=h.n):
+            assert axioms_hold(quotient_by(h, c)), (h.names, c.eq)
+            checked += 1
+    assert checked == 5731
+
+
 def relabelled(m, perm):
     """m with element x renamed perm[x]: perm[x].perm[y] = perm(x.y)."""
     n = m.n
@@ -617,6 +630,23 @@ def test_coset_simplicity_report_counts_congruences(coset_test_set, dih12):
             assert k & sub.mask == sub.mask and k not in (sub.mask, g.full_mask)
             witnesses += 1
     assert len(pairs) == 96 and witnesses == 45
+
+
+def test_coset_report_counts_congruences_past_index_12():
+    # the same correspondence where the congruence search reaches beyond
+    # the default cap: one subgroup per conjugacy class, as conjugate
+    # subgroups give the same report and isomorphic coset spaces
+    counts = []
+    for g, sub, spaces in class_coset_spaces():
+        if g.n // sub.order > 12:
+            want = coset_simplicity_report(g, sub).invariant_count
+            # a trivial H gives one table on both sides: search it once
+            for h in {h.table: h for h in spaces}.values():
+                assert len(reflector_congruences(h, cap=64)) == want, (g.names, sub.mask, h.names)
+            counts.append(want)
+    # 23 classes: 11 of S5, 5 of D24, 7 of S4 x Z2; the simple ones count 2
+    assert sorted(counts) == [2] * 3 + [3] * 5 + [4] * 2 + [5] * 3 + [6] * 2 + [7] + \
+        [8] * 2 + [9] * 2 + [10] * 2 + [11]
 
 
 def test_left_right_coset_simplicity_duality(coset_test_set):

@@ -91,6 +91,33 @@ def test_value_semantics_are_defined_only_in_frozen():
                                 f"presentations.py:Trame: {identity}"]
 
 
+def test_hypergroups_are_certified_only_where_the_table_comes_from_outside():
+    # a table read from a file, or one that is a hypergroup only when a
+    # presentation is adequate, goes through certify; a construction that
+    # a theorem makes a hypergroup returns it through _proved, and the
+    # axiom check it leaves out lives in the tests. No function builds a
+    # Hypergroup by calling the class, which would check it again.
+    calls = collections.defaultdict(list)
+    for name, tree in library_trees():
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first: the innermost wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), f"{name[:-3]}.{fn.name}") for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name) and f.id == "Hypergroup":
+                    calls["Hypergroup"].append(owner.get(id(node), name[:-3]))
+                elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                      and f.value.id == "Hypergroup"):
+                    calls[f.attr].append(owner.get(id(node), name[:-3]))
+    assert {k: sorted(v) for k, v in calls.items()} == {
+        "certify": ["cli._read_hypergroup", "presentations.presentation_simplicity"],
+        "_proved": ["constructions._coset_structure", "constructions.stabilizer_hypergroup",
+                    "groups.as_hypergroup", "simplicity.quotient_by"],
+    }
+
+
 def test_tracer_wrapped_names_exist():
     # the traced benchmark replay patches every WRAPPED name with getattr,
     # so a name that no longer exists crashes it
