@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import reduce
-from operator import attrgetter, or_
+from operator import attrgetter, eq, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_ELEMENTS = 64  # mask-width contract for carriers
@@ -383,15 +383,16 @@ def is_reflector(f: Mapping) -> bool:
             and saturation_identity(products(dom), f.image))
 
 
-def _element_invariant(m: Multistructure, x: int) -> tuple:
-    row = tuple(sorted(e.bit_count() for e in m.table[x]))
-    col = tuple(sorted(m.table[y][x].bit_count() for y in range(m.n)))
-    # x.x, p.x, ... up to a power holding x or repeating
-    sizes, p, last = [], m.table[x][x], -1
-    while len(sizes) < m.n and not p >> x & 1 and p != last:
-        sizes.append(p.bit_count())
-        p, last = reduce(or_, (m.table[z][x] for z in members(p)), 0), p
-    return (row, col, *sizes, p.bit_count())
+def _invariants(m: Multistructure) -> Iterator[tuple]:
+    roots = Counter(w for y, row in enumerate(m.table) for w in members(row[y]))
+    for x, row, col in zip(range(m.n), m.table, zip(*m.table)):
+        # x.x, p.x, ... up to a power holding x or repeating
+        sizes, p, last = [], row[x], -1
+        while len(sizes) < len(row) and not p >> x & 1 and p != last:
+            sizes.append(p.bit_count())
+            p, last = reduce(or_, map(col.__getitem__, members(p)), 0), p
+        yield (tuple(sorted(map(int.bit_count, row))), tuple(sorted(map(int.bit_count, col))),
+               roots[x], sum(map(eq, row, col)), *sizes, p.bit_count())
 
 
 def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int, ...]]:
@@ -400,7 +401,8 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
     Backtracking assigns domain elements in index order and tries codomain
     candidates in index order, so the result is the first bijection in
     lexicographic backtracking order. Candidates are pruned by per-element
-    invariants that g keeps (sorted row/column product-size profiles and the
+    invariants that g keeps (sorted row/column product-size profiles, the
+    number of y with x in y.y, the number of y with x.y = y.x, and the
     sizes of x.x, (x.x).x, ..., on a group the order of x) and by the
     morphism condition cut to the assigned prefix and its image, which on
     the whole carrier makes g an isomorphism. The search yields the
@@ -409,8 +411,7 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
     n = a.n
     if n != b.n:
         return None
-    inv_a = [_element_invariant(a, x) for x in range(n)]
-    inv_b = [_element_invariant(b, x) for x in range(n)]
+    inv_a, inv_b = (list(_invariants(m)) for m in (a, b))
     if sorted(inv_a) != sorted(inv_b):
         return None
     candidates = [tuple(v for v in range(n) if inv_b[v] == inv_a[x]) for x in range(n)]

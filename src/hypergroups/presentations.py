@@ -17,6 +17,7 @@ from .core import (
     Frozen,
     Hypergroup,
     Multistructure,
+    product_of_sets,
     quotient_table,
     restricted_growth,
     saturation_identity,
@@ -110,12 +111,8 @@ def is_adequate(p: Presentation) -> AdequacyReport:
     rep = verify_axioms(q)
     repro_witness = None
     if not rep.reproductive:
-        x = rep.repro_witness
-        row = col = 0
-        for y in range(q.n):
-            row |= q.table[x][y]
-            col |= q.table[y][x]
-        missing = q.full_mask & ~(row & col)
+        x, full = rep.repro_witness, q.full_mask
+        missing = full & ~(product_of_sets(q, 1 << x, full) & product_of_sets(q, full, 1 << x))
         repro_witness = (x, (missing & -missing).bit_length() - 1)
     return AdequacyReport(rep.reproductive, rep.associative,
                           repro_witness, rep.assoc_witness)

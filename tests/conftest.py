@@ -46,6 +46,7 @@ from hypergroups.presentations import (
     is_invariant_modulo_equiv,
     quotient,
 )
+from hypergroups.simplicity import reflector_congruences
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -680,6 +681,28 @@ def direct_product(g, h):
     return verify_group(table, names)
 
 
+def metacyclic_group(m, k, r):
+    """Z_m ⋊ Z_k, the generator of Z_k acting on Z_m as multiplication by
+    r (r^k = 1 mod m): (a, b).(c, d) = (a + r^b c, b + d), the pair (a, b)
+    at index a * k + b."""
+    table = [[(a + r ** b * c) % m * k + (b + d) % k for c in range(m) for d in range(k)]
+             for a in range(m) for b in range(k)]
+    return verify_group(table, tuple(f"({a},{b})" for a in range(m) for b in range(k)))
+
+
+def quaternion_group():
+    """Q8 = {±1, ±i, ±j, ±k}, the element s·u (sign s = ±1, unit u one
+    of 1, i, j, k) at index 4 * (s == -1) + (index of u)."""
+    # (1 if the sign is -1, index of the unit) of u.v for the units 1, i, j, k
+    units = (((0, 0), (0, 1), (0, 2), (0, 3)), ((0, 1), (1, 0), (0, 3), (1, 2)),
+             ((0, 2), (1, 3), (1, 0), (0, 1)), ((0, 3), (0, 2), (1, 1), (1, 0)))
+    table = [[0] * 8 for _ in range(8)]
+    for x, y in itertools.product(range(8), repeat=2):
+        sign, unit = units[x % 4][y % 4]
+        table[x][y] = 4 * ((x // 4 + y // 4 + sign) % 2) + unit
+    return verify_group(table, ("1", "i", "j", "k", "-1", "-i", "-j", "-k"))
+
+
 # --- group corpus -------------------------------------------------------------
 
 
@@ -702,6 +725,18 @@ def class_coset_spaces():
               direct_product(symmetric_group(4), cyclic_group(2)))
     return tuple((g, h, (right_coset_hypergroup(g, h), left_coset_hypergroup(g, h)))
                  for g in groups for h in class_representatives(g) if g.n // h.order <= 64)
+
+
+_CONGRUENCES = {}
+
+
+def congruences_to_mask_width(h):
+    """reflector_congruences(h, cap=64) as a tuple, searched once per table
+    (the two spaces of a trivial H share one): the spaces of
+    class_coset_spaces() take seconds to search."""
+    if h.table not in _CONGRUENCES:
+        _CONGRUENCES[h.table] = tuple(reflector_congruences(h, cap=64))
+    return _CONGRUENCES[h.table]
 
 
 def klein_group() -> GroupTable:

@@ -15,7 +15,7 @@ from hypergroups.groups import (Subgroup, as_hypergroup, coset_relation, cyclic_
 from hypergroups.presentations import Trame, group_trame
 from hypergroups.simplicity import SimplicityReport
 
-from conftest import direct_product
+from conftest import direct_product, quaternion_group
 
 STAB3 = ('{"elements":["e","y1","y2"],"table":[[["e"],["y1","y2"],["y1","y2"]],'
          '[["y1"],["e","y2"],["e","y2"]],[["y2"],["e","y1"],["e","y1"]]]}')
@@ -260,7 +260,12 @@ def total_hypergroup(n, shrunk=False):
     # the row of 0 differs in its product sizes, while every element of
     # both tables lies in its own square
     lambda: [total_hypergroup(12), total_hypergroup(12, shrunk=True)],
-], ids=["abelian-64", "total-12-shrunk"])
+    # the element orders agree, but Z4^3 is abelian and 48 elements of
+    # Q8 x Z4 x Z2 commute with half of it; in this order a search that
+    # reached these tables would run for minutes
+    lambda: [as_hypergroup(reduce(direct_product, gs)) for gs in (
+        (quaternion_group(), cyclic_group(4), cyclic_group(2)), (cyclic_group(4),) * 3)],
+], ids=["abelian-64", "total-12-shrunk", "q8-z4-z2-then-z4-cubed"])
 def test_iso_refutes_before_searching(tmp_path, pair):
     # the candidate filter separates each pair before any search
     paths = []

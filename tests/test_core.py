@@ -19,7 +19,7 @@ from hypergroups.core import (
     Multistructure,
     NotAHypergroup,
     ParseError,
-    _element_invariant,
+    _invariants,
     find_isomorphism,
     from_json,
     is_group,
@@ -59,11 +59,13 @@ from conftest import (
     identity_relation,
     is_cogroup,
     is_set_isomorphism,
+    metacyclic_group,
     naive_axiom_report,
     naive_is_reflector,
     naive_json_obj,
     per_element_isomorphism,
     profile_invariant,
+    quaternion_group,
     set_product,
     refines,
     table_sets,
@@ -432,13 +434,20 @@ def iso_corpus():
     return [groups, cosets, sfam, quotients]
 
 
-def test_find_isomorphism_matches_per_element_oracle():
-    # the first bijection in backtracking order, or None, as before
+def iso_corpus_pairs():
+    """Each family's pairs of equal size, then each member against a
+    relabelled copy."""
     rng = random.Random(24)
     pairs = []
     for family in iso_corpus():
         pairs += [(a, b) for a, b in itertools.product(family, repeat=2) if a.n == b.n]
         pairs += [(a, relabel(a, rng.sample(range(a.n), a.n))) for a in family]
+    return pairs
+
+
+def test_find_isomorphism_matches_per_element_oracle():
+    # the first bijection in backtracking order, or None, as before
+    pairs = iso_corpus_pairs()
     found = 0
     for a, b in pairs:
         g = find_isomorphism(a, b)
@@ -489,16 +498,74 @@ def iso_pairs(draw):
 def test_find_isomorphism_matches_oracle_on_relabelled_and_perturbed_tables(drawn):
     a, perm, b = drawn
     pa = relabel(a, perm)  # uniform tables have empty products
-    assert all(_element_invariant(pa, perm[x]) == _element_invariant(a, x) for x in range(a.n))
+    inv, pinv = [list(_invariants(m)) for m in (a, b)], list(_invariants(pa))
+    assert all(pinv[perm[x]] == inv[0][x] for x in range(a.n))
     # the filter tells apart every two elements that the oracle's filter does
-    inv, old = ([[f(m, x) for x in range(m.n)] for m in (a, b)]
-                for f in (_element_invariant, profile_invariant))
+    old = [[profile_invariant(m, x) for x in range(m.n)] for m in (a, b)]
     assert all(old[0][x] == old[1][v] for x in range(a.n) for v in range(b.n)
                if inv[0][x] == inv[1][v])
     for a, b in ((a, b), (b, a)):
         g = find_isomorphism(a, b)
         assert g == per_element_isomorphism(a, b)
         assert g is None or is_set_isomorphism(a, b, g)
+
+
+def assert_isomorphism_swaps(a, b):
+    # a bijective morphism is an isomorphism: the inverse of the bijection
+    # found maps b onto a, so the search finds one from b to a as well
+    g = find_isomorphism(a, b)
+    if g is None:
+        assert find_isomorphism(b, a) is None
+    else:
+        assert is_set_isomorphism(b, a, sorted(range(a.n), key=g.__getitem__))
+        assert find_isomorphism(b, a) is not None
+
+
+def test_isomorphisms_swap_on_the_corpus():
+    pairs = iso_corpus_pairs()
+    for a, b in pairs:
+        assert_isomorphism_swaps(a, b)
+    assert len(pairs) == 1780
+
+
+@settings(max_examples=200)
+@given(iso_pairs())
+def test_isomorphisms_swap_on_relabelled_and_perturbed_tables(drawn):
+    a, _, b = drawn
+    assert_isomorphism_swaps(a, b)
+
+
+def test_find_isomorphism_on_groups_of_order_64():
+    # ten direct products, with Q8 and D8 of order 8. Of a group, the
+    # profiles and power sizes see only the element orders, and Z4^3 and
+    # Q8xZ4xZ2 have the same ones: the counts of square roots and of
+    # commuting elements refute them before the search, in either order.
+    # Q8xZ4xZ2 and Z2xQ8xZ4 are one group
+    q8, d8, z2, z4, z8 = (quaternion_group(), dihedral_group(4), cyclic_group(2),
+                          cyclic_group(4), cyclic_group(8))
+    factors = {"Q8xZ4xZ2": (q8, z4, z2), "Z4^3": (z4, z4, z4), "Q8xQ8": (q8, q8),
+               "D8xD8": (d8, d8), "D8xQ8": (d8, q8), "Z2xQ8xZ4": (z2, q8, z4),
+               "Q8xZ2^3": (q8, z2, z2, z2), "D8xZ2^3": (d8, z2, z2, z2),
+               "D8xZ4xZ2": (d8, z4, z2), "Z8xZ8": (z8, z8)}
+    groups = {name: as_hypergroup(reduce(direct_product, fs)).m for name, fs in factors.items()}
+    same = {"Q8xZ4xZ2", "Z2xQ8xZ4"}
+    for x, y in itertools.permutations(groups, 2):
+        g = find_isomorphism(groups[x], groups[y])
+        assert (g is not None) == ({x, y} == same), (x, y)
+        assert g is None or is_set_isomorphism(groups[x], groups[y], g)
+
+
+def test_each_count_alone_refutes_a_pair_of_groups():
+    # the element orders agree within each pair. Z4 ⋊ Z4 and Z2 x Q8 have
+    # the same centralizer sizes and differ in their square roots; M16 =
+    # Z8 ⋊ Z2 and Z8 x Z2 have the same square roots and differ in their
+    # centralizer sizes
+    pairs = [(metacyclic_group(4, 4, 3), direct_product(cyclic_group(2), quaternion_group())),
+             (metacyclic_group(8, 2, 5), direct_product(cyclic_group(8), cyclic_group(2)))]
+    for pair in pairs:
+        a, b = (as_hypergroup(g).m for g in pair)
+        assert sorted(_invariants(a)) != sorted(_invariants(b))
+        assert find_isomorphism(a, b) is None
 
 
 def test_find_isomorphism_on_direct_products():

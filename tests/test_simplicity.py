@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -9,7 +10,7 @@ from hypergroups.core import (
     EquivalenceRelation,
     Hypergroup,
     Multistructure,
-    _element_invariant,
+    _invariants,
     find_isomorphism,
     from_json,
     is_group,
@@ -22,6 +23,7 @@ from hypergroups.core import (
 from hypergroups.groups import (
     Subgroup,
     as_hypergroup,
+    coset_relation,
     cyclic_group,
     dihedral_group,
     is_maximal,
@@ -41,6 +43,7 @@ from hypergroups.constructions import (
     utumi_is_associative,
     utumi_simplicity_criterion,
 )
+from hypergroups.presentations import group_trame, is_invariant_modulo_equiv
 from hypergroups import simplicity
 from hypergroups.simplicity import (
     DEFAULT_SIMPLICITY_CAP,
@@ -58,17 +61,21 @@ from hypergroups.simplicity import (
 )
 
 from conftest import (
+    all_equivalences,
     all_pairs_node_ok,
     all_triples_quotient_by,
     axioms_hold,
     blocks_of,
     class_coset_spaces,
+    congruences_to_mask_width,
+    direct_product,
     identity_relation,
     is_set_isomorphism,
     naive_congruence_search,
     naive_is_invariant_modulo,
     naive_quotient_by,
     naive_reflector_partitions,
+    quaternion_group,
     saturate,
     set_product,
     table_sets,
@@ -395,7 +402,8 @@ def test_isomorphisms_follow_a_relabelling(m, data):
     # finds an isomorphism may not depend on it
     perm = data.draw(st.permutations(range(m.n)))
     pm = relabelled(m, perm)
-    assert all(_element_invariant(pm, perm[x]) == _element_invariant(m, x) for x in range(m.n))
+    inv, pinv = list(_invariants(m)), list(_invariants(pm))
+    assert all(pinv[perm[x]] == inv[x] for x in range(m.n))
     g = find_isomorphism(m, pm)
     assert g is not None and is_set_isomorphism(m, pm, g)
     if data.draw(st.booleans()):
@@ -642,11 +650,49 @@ def test_coset_report_counts_congruences_past_index_12():
             want = coset_simplicity_report(g, sub).invariant_count
             # a trivial H gives one table on both sides: search it once
             for h in {h.table: h for h in spaces}.values():
-                assert len(reflector_congruences(h, cap=64)) == want, (g.names, sub.mask, h.names)
+                assert len(congruences_to_mask_width(h)) == want, (g.names, sub.mask, h.names)
             counts.append(want)
     # 23 classes: 11 of S5, 5 of D24, 7 of S4 x Z2; the simple ones count 2
     assert sorted(counts) == [2] * 3 + [3] * 5 + [4] * 2 + [5] * 3 + [6] * 2 + [7] + \
         [8] * 2 + [9] * 2 + [10] * 2 + [11]
+
+
+def test_coset_congruences_are_invariant_on_the_group_trame():
+    # the trame route on the same spaces: a congruence of the cosets xH
+    # or Hx, lifted through the coset labels, is invariant modulo the
+    # cosets on the trame of G's whole multiplication
+    trames, checked = {}, 0
+    for g, sub, spaces in class_coset_spaces():
+        if g.names not in trames:
+            trames[g.names] = group_trame(g)
+        for side, h in zip(("right", "left"), spaces):
+            r = coset_relation(g, sub.mask, side)
+            for c in congruences_to_mask_width(h):
+                s = tuple(c.eq.class_of[lab] for lab in r)
+                assert is_invariant_modulo_equiv(trames[g.names], r, s), (g.names, sub.mask, side)
+                checked += 1
+    assert checked == 620
+
+
+def test_utumi_criterion_implies_simple_on_groups_to_order_8():
+    # every partition with the zero alone, over every group of order 2-8
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    groups = [cyclic_group(k) for k in range(2, 9)] + [
+        direct_product(z2, z2), symmetric_group(3), direct_product(z4, z2),
+        reduce(direct_product, (z2,) * 3), dihedral_group(4), quaternion_group()]
+    inputs = associative = criterion = 0
+    for g in groups:
+        base = as_hypergroup(g)
+        for rest in all_equivalences(g.n - 1):
+            labels = (0, *(c + 1 for c in rest.class_of))
+            data = UtumiInput(base, EquivalenceRelation(labels), 0)
+            inputs += 1
+            if utumi_is_associative(data):
+                associative += 1
+                if utumi_simplicity_criterion(data):
+                    criterion += 1
+                    assert is_simple(Hypergroup.certify(utumi(data))), (g.names, labels)
+    assert (inputs, associative, criterion) == (4720, 239, 21)
 
 
 def test_left_right_coset_simplicity_duality(coset_test_set):
