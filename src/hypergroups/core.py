@@ -295,45 +295,6 @@ def power(h: Multistructure, x: int, k: int) -> int:
     return acc
 
 
-class Mapping(Frozen):
-    """A total map between two carriers, image[x] = f(x)."""
-
-    __slots__ = _fields = ("dom", "cod", "image")
-
-    def _check(self):
-        if len(self.image) != self.dom.n:
-            raise ValueError("image must assign every domain element")
-        if any(not (0 <= v < self.cod.n) for v in self.image):
-            raise ValueError("image value out of codomain range")
-
-    def img(self, dmask: int) -> int:
-        out = 0
-        for x in members(dmask):
-            out |= 1 << self.image[x]
-        return out
-
-    def pre(self, cmask: int) -> int:
-        out = 0
-        for x, v in enumerate(self.image):
-            if cmask >> v & 1:
-                out |= 1 << x
-        return out
-
-    @property
-    def surjective(self) -> bool:
-        return self.img(self.dom.full_mask) == self.cod.full_mask
-
-
-def is_morphism(f: Mapping) -> bool:
-    """f(x.y) == f(x).f(y) element-wise."""
-    dom, cod = f.dom, f.cod
-    for x in range(dom.n):
-        for y in range(dom.n):
-            if f.img(dom.table[x][y]) != cod.table[f.image[x]][f.image[y]]:
-                return False
-    return True
-
-
 def products(m: Multistructure) -> Iterator[tuple[tuple[int, int], int]]:
     """The table as product triples ((x, y), w), one per w in x.y, row-major."""
     return (((x, y), w) for x, row in enumerate(m.table)
@@ -370,17 +331,25 @@ def saturation_identity(prods: Iterable[tuple[tuple[int, int], int]],
     return True
 
 
-def is_reflector(f: Mapping) -> bool:
-    """Surjective f whose four pulled-back product sets coincide.
+def is_reflector(dom: Multistructure, cod: Multistructure, image: Sequence[int]) -> bool:
+    """Whether the map image[x] = f(x) from dom to cod is surjective and
+    its four pulled-back product sets coincide.
 
     For all x, y the sets f^-1 f(x.y), f^-1(f(x).f(y)), x.f^-1 f(y) and
     f^-1 f(x).y must be equal. f^-1 is injective on the subsets of a
     surjection's codomain, so the first two agree exactly when f is a
     morphism; the other three are the saturation identity of the fibres.
     """
-    dom = f.dom
-    return (f.surjective and is_morphism(f)
-            and saturation_identity(products(dom), f.image))
+    if len(image) != dom.n:
+        raise ValueError("image must assign every domain element")
+    if any(not (0 <= v < cod.n) for v in image):
+        raise ValueError("image value out of codomain range")
+    bits = [1 << v for v in image]
+    return (len(set(image)) == cod.n
+            and all(reduce(or_, map(bits.__getitem__, members(e)), 0)
+                    == cod.table[image[x]][image[y]]
+                    for x, row in enumerate(dom.table) for y, e in enumerate(row))
+            and saturation_identity(products(dom), image))
 
 
 def _invariants(m: Multistructure) -> Iterator[tuple]:

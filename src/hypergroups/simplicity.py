@@ -202,9 +202,8 @@ def reflets(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP) -> list[Hypergroup
     Sorted by carrier size, then by the table read as a tuple of rows of
     masks (a canonical tiebreak independent of names).
     """
-    quotients = [quotient_by(h, c) for c in reflector_congruences(h, cap)]
     kept: list[Hypergroup] = []
-    for q in quotients:
+    for q in (quotient_by(h, c) for c in reflector_congruences(h, cap)):
         if all(find_isomorphism(q, other) is None for other in kept):
             kept.append(q)
     kept.sort(key=lambda q: (q.n, q.table))

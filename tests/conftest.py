@@ -143,6 +143,45 @@ def blocks_of(eq: EquivalenceRelation):
     return [sorted(members(cm)) for cm in eq.class_masks]
 
 
+class Mapping(Frozen):
+    """A total map between two carriers, image[x] = f(x)."""
+
+    __slots__ = _fields = ("dom", "cod", "image")
+
+    def _check(self):
+        if len(self.image) != self.dom.n:
+            raise ValueError("image must assign every domain element")
+        if any(not (0 <= v < self.cod.n) for v in self.image):
+            raise ValueError("image value out of codomain range")
+
+    def img(self, dmask: int) -> int:
+        out = 0
+        for x in members(dmask):
+            out |= 1 << self.image[x]
+        return out
+
+    def pre(self, cmask: int) -> int:
+        out = 0
+        for x, v in enumerate(self.image):
+            if cmask >> v & 1:
+                out |= 1 << x
+        return out
+
+    @property
+    def surjective(self) -> bool:
+        return self.img(self.dom.full_mask) == self.cod.full_mask
+
+
+def is_morphism(f: Mapping) -> bool:
+    """f(x.y) == f(x).f(y) element-wise."""
+    dom, cod = f.dom, f.cod
+    for x in range(dom.n):
+        for y in range(dom.n):
+            if f.img(dom.table[x][y]) != cod.table[f.image[x]][f.image[y]]:
+                return False
+    return True
+
+
 def naive_is_reflector(f):
     """is_reflector by its definition: surjective, and for all x, y the
     sets f^-1 f(x.y), f^-1(f(x).f(y)), x.f^-1 f(y) and f^-1 f(x).y equal."""
@@ -408,6 +447,45 @@ def refines(a, b):
         if image.setdefault(lab, want) != want:
             return False
     return True
+
+
+def coarsest_congruence(h, labels):
+    """The coarsest reflector congruence of h that refines the partition
+    labels, as restricted-growth labels, found by partition refinement.
+
+    With no product empty, a partition is a reflector congruence exactly
+    when, for every x and every class C, (a) x.C and C.x are unions of
+    classes and (b) x.y meets the same classes for every y in C, and so
+    does y.x. Each round splits the classes by both rules, until a round
+    splits none. A split leaves every congruence that refines the
+    partition refining the split one, so the fixpoint is the greatest
+    congruence below labels: Paige and Tarjan's coarsest stable
+    refinement, with two kinds of splitter. No search is involved.
+    """
+    table, cols = h.table, list(zip(*h.table))
+    labels = restricted_growth(labels)
+    while True:
+        k = max(labels) + 1
+        # (b): the classes that each product meets, as a mask of labels
+        met = {e: mask_of(labels[w] for w in members(e)) for e in set().union(*table)}
+        # (a): the unions x.C and C.x, which no class may straddle
+        unions = set()
+        for x_row, x_col in zip(table, cols):
+            row, col = [0] * k, [0] * k
+            for lab, e, f in zip(labels, x_row, x_col):
+                row[lab] |= e
+                col[lab] |= f
+            unions.update(row, col)
+        inside = [[] for _ in labels]
+        for i, u in enumerate(unions):
+            for y in members(u):
+                inside[y].append(i)
+        refined = restricted_growth(
+            (lab, tuple(met[e] for e in cols[y]), tuple(met[e] for e in table[y]), tuple(inside[y]))
+            for y, lab in enumerate(labels))
+        if max(refined) == k - 1:
+            return labels
+        labels = refined
 
 
 def all_equivalences(n):

@@ -15,7 +15,6 @@ from hypergroups.core import (
     CapExceeded,
     EquivalenceRelation,
     Hypergroup,
-    Mapping,
     Multistructure,
     NotAHypergroup,
     ParseError,
@@ -23,7 +22,6 @@ from hypergroups.core import (
     find_isomorphism,
     from_json,
     is_group,
-    is_morphism,
     is_reflector,
     json_obj,
     mask_of,
@@ -53,11 +51,13 @@ from hypergroups.simplicity import ReflectorCongruence, SimplicityReport
 
 from conftest import (
     CogroupReport,
+    Mapping,
     all_equivalences,
     cogroup_report,
     direct_product,
     identity_relation,
     is_cogroup,
+    is_morphism,
     is_set_isomorphism,
     metacyclic_group,
     naive_axiom_report,
@@ -249,6 +249,10 @@ def test_power_and_mapping_refuse_what_they_cannot_evaluate():
         Mapping(m, m, (0, 1))
     with pytest.raises(ValueError, match="^image value out of codomain range$"):
         Mapping(m, m, (0, 1, 3))
+    with pytest.raises(ValueError, match="^image must assign every domain element$"):
+        is_reflector(m, m, (0, 1))
+    with pytest.raises(ValueError, match="^image value out of codomain range$"):
+        is_reflector(m, m, (0, 1, 3))
 
 
 def test_opposite_involution_and_flags():
@@ -286,13 +290,13 @@ def test_morphism_and_reflector_on_stabilizer_merge():
     f = Mapping(k.m, cod, (0, 1, 1))
     assert f.surjective
     assert is_morphism(f)
-    assert not is_reflector(f)
+    assert not is_reflector(f.dom, f.cod, f.image)
 
 
 def test_identity_map_is_reflector():
     m = cyclic_ms(4)
     f = Mapping(m, m, (0, 1, 2, 3))
-    assert is_reflector(f)
+    assert is_reflector(f.dom, f.cod, f.image)
     assert is_morphism(f)
 
 
@@ -300,7 +304,7 @@ def test_reflector_total_collapse():
     m = cyclic_ms(4)
     one = Multistructure(("*",), ((1,),))
     f = Mapping(m, one, (0, 0, 0, 0))
-    assert is_reflector(f)
+    assert is_reflector(f.dom, f.cod, f.image)
 
 
 def test_reflector_saturated_product_identity(small_hypergroup_corpus):
@@ -311,7 +315,7 @@ def test_reflector_saturated_product_identity(small_hypergroup_corpus):
         for c in reflector_congruences(h):
             q = quotient_by(h, c)
             f = Mapping(h.m, q.m, tuple(c.eq.class_of))
-            assert is_reflector(f)
+            assert is_reflector(f.dom, f.cod, f.image)
             for x in range(h.n):
                 for y in range(h.n):
                     lhs = product_of_sets(
@@ -355,7 +359,7 @@ def test_is_reflector_matches_four_set_oracle(small_hypergroup_corpus):
                 induced[rng.randrange(k)][rng.randrange(k)] ^= 1 << rng.randrange(k)
             cod = Multistructure(tuple(map(str, range(k))), tuple(map(tuple, induced)))
             f = Mapping(dom, cod, image)
-            got = is_reflector(f)
+            got = is_reflector(f.dom, f.cod, f.image)
             assert got == naive_is_reflector(f), (dom.table, cod.table, image)
             maps += 1
             reflectors += got
@@ -780,7 +784,7 @@ def test_hypergroup_is_a_multistructure(small_hypergroup_corpus):
             f, g = Mapping(h, q, c.eq.class_of), Mapping(m, q.m, c.eq.class_of)
             assert f.dom is h and f.cod is q and f != g
             assert is_morphism(f) and is_morphism(g)
-            assert is_reflector(f) and is_reflector(g)
+            assert is_reflector(f.dom, f.cod, f.image) and is_reflector(g.dom, g.cod, g.image)
         for eq in all_equivalences(h.n):
             try:
                 on_h, on_m = UtumiInput(h, eq, 0), UtumiInput(m, eq, 0)

@@ -1,6 +1,6 @@
 import random
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -67,6 +67,7 @@ from conftest import (
     axioms_hold,
     blocks_of,
     class_coset_spaces,
+    coarsest_congruence,
     congruences_to_mask_width,
     direct_product,
     identity_relation,
@@ -76,6 +77,7 @@ from conftest import (
     naive_quotient_by,
     naive_reflector_partitions,
     quaternion_group,
+    refines,
     saturate,
     set_product,
     table_sets,
@@ -672,6 +674,76 @@ def test_coset_congruences_are_invariant_on_the_group_trame():
                 assert is_invariant_modulo_equiv(trames[g.names], r, s), (g.names, sub.mask, side)
                 checked += 1
     assert checked == 620
+
+
+def refinement_corpus():
+    """(h, its reflector congruences) for C64, D16, D6 and the coset spaces
+    of class_coset_spaces(), up to index 64, one per table."""
+    hs = [as_hypergroup(g) for g in (cyclic_group(64), dihedral_group(16), dihedral_group(6))]
+    hs += [h for _, _, spaces in class_coset_spaces() for h in spaces]
+    return [(h, [c.eq for c in congruences_to_mask_width(h)])
+            for h in {h.table: h for h in hs}.values()]
+
+
+def join(a, b):
+    """The finest equivalence that both equivalences a and b refine."""
+    blocks = list(a.class_masks)
+    for cm in b.class_masks:  # one block for those cm meets; blocks are disjoint
+        blocks = [bl for bl in blocks if not bl & cm] + [sum(bl for bl in blocks if bl & cm)]
+    return EquivalenceRelation.from_blocks(a.n, map(members, blocks))
+
+
+def test_found_congruences_are_refinement_fixpoints():
+    # partition refinement splits no class of a congruence the search found
+    corpus = refinement_corpus()
+    for h, found in corpus:
+        for eq in found:
+            assert coarsest_congruence(h, eq.class_of) == eq.class_of, (h.names, eq)
+    assert (len(corpus), sum(len(found) for _, found in corpus)) == (110, 499)
+
+
+def probes(h, found, rng):
+    """Partitions Q near the congruences found: for each, two of its classes
+    merged at random, and every class split into its members at even and
+    at odd places; and two random partitions."""
+    for eq in found:
+        labels = eq.class_of
+        if eq.k > 1:
+            a, b = rng.sample(range(eq.k), 2)
+            yield tuple(a if lab == b else lab for lab in labels)
+        if eq.k < h.n:
+            yield tuple((lab, (eq.class_masks[lab] & ((1 << y) - 1)).bit_count() % 2)
+                        for y, lab in enumerate(labels))
+    for _ in range(2):
+        k = rng.randint(1, h.n)
+        yield tuple(rng.randrange(k) for _ in range(h.n))
+
+
+def test_coarsest_congruence_below_a_partition_is_found():
+    # completeness: refinement from Q reaches the greatest congruence below
+    # Q, so the search must have found it, and every congruence found below
+    # Q refines it: of those, it has the fewest classes
+    rng = random.Random(11)
+    checked = moved = 0
+    for h, found in refinement_corpus():
+        for labels in probes(h, found, rng):
+            q = EquivalenceRelation.from_labels(labels)
+            fix = EquivalenceRelation(coarsest_congruence(h, labels))
+            below = [eq for eq in found if refines(eq, q)]
+            assert fix in below and all(refines(eq, fix) for eq in below), (h.names, labels)
+            checked += 1
+            moved += fix != q and 1 < fix.k < h.n  # refined onto a proper congruence
+    assert (checked, moved) == (998, 185)
+
+
+def test_join_of_two_congruences_is_found():
+    # reflector congruences are closed under join
+    joins = 0
+    for h, found in refinement_corpus():
+        for a, b in combinations(found, 2):
+            assert join(a, b) in found, (h.names, a, b)
+            joins += 1
+    assert joins == 1149
 
 
 def test_utumi_criterion_implies_simple_on_groups_to_order_8():

@@ -143,7 +143,6 @@ def test_public_names_are_reached_outside_the_tests():
         "groups.is_normal": "the paper's group-side vocabulary",
         "groups.is_maximal": "the paper's group-side vocabulary",
         "groups.Subgroup.order": "the paper's |H|, read by the tests",
-        "core.Mapping.pre": "goes to the tests with Mapping once the tracer stops wrapping is_reflector",
     }
     trees = dict(library_trees())
     others = [ast.parse(path.read_text(encoding="utf-8")) for path in
