@@ -114,9 +114,8 @@ def _node_ok(i, k, labels, cmask, rowsum, colsum, table, live, nextrow, nextcol)
     return True
 
 
-def reflector_congruences(h: Hypergroup,
-                          cap: int = DEFAULT_SIMPLICITY_CAP,
-                          limit: int | None = None) -> list[ReflectorCongruence]:
+def congruence_search(h: Hypergroup,
+                      cap: int = DEFAULT_SIMPLICITY_CAP) -> Iterator[ReflectorCongruence]:
     """All reflector congruences, in restricted-growth-string order.
 
     Backtracking over class labels for elements 0..n-1. At a node with
@@ -144,9 +143,7 @@ def reflector_congruences(h: Hypergroup,
     or identity relation passes untested, as both are congruences.
 
     The search is a generator that yields the leaves in that fixed order;
-    the caller stops it. limit, when given, takes the first that many
-    (is_simple uses 3: any third congruence settles the verdict), and no
-    node past the last one taken is tested.
+    the caller stops it, and no node past the last leaf taken is tested.
     """
     n = h.n
     if n > cap:
@@ -193,7 +190,13 @@ def reflector_congruences(h: Hypergroup,
             rowsum[lab], colsum[lab] = rs, cs
             cmask[lab] ^= bit
 
-    return list(islice(rec(1, 1), limit))
+    yield from rec(1, 1)
+
+
+def reflector_congruences(h: Hypergroup,
+                          cap: int = DEFAULT_SIMPLICITY_CAP) -> list[ReflectorCongruence]:
+    """congruence_search as a list: reflets quotients by each, perfbench's tracer takes its len."""
+    return list(congruence_search(h, cap))
 
 
 def reflets(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP) -> list[Hypergroup]:
@@ -219,7 +222,7 @@ def is_simple(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP) -> bool:
     has one reflet, not two, so it is not simple. The search stops at
     the third congruence found.
     """
-    return len(reflector_congruences(h, cap, limit=3)) == 2
+    return len(list(islice(congruence_search(h, cap), 3))) == 2
 
 
 def bell_number(n: int) -> int:
@@ -248,16 +251,19 @@ class SimplicityReport(Frozen):
 
 def simplicity_report(h: Hypergroup,
                       cap: int = DEFAULT_SIMPLICITY_CAP) -> SimplicityReport:
-    """is_simple's verdict from the full list of reflector congruences.
+    """is_simple's verdict, counting the reflector congruences in one pass.
 
     Simple when exactly the identity and the total relation qualify; the
     witness is the first congruence strictly between them in
     restricted-growth order. Unlike is_simple the search runs to the end,
-    so the count is exact.
+    so the count is exact, but only one congruence is held at a time.
     """
-    found = reflector_congruences(h, cap)
-    witness = next((c.eq for c in found if 1 < c.eq.k < h.n), None)
-    return SimplicityReport(len(found) == 2, len(found), bell_number(h.n), witness)
+    count, witness = 0, None
+    for c in congruence_search(h, cap):
+        count += 1
+        if witness is None and 1 < c.eq.k < h.n:
+            witness = c.eq
+    return SimplicityReport(count == 2, count, bell_number(h.n), witness)
 
 
 def invariant_modulo_subgroups(g: GroupTable, h: Subgroup,

@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -49,6 +50,7 @@ from hypergroups.simplicity import (
     DEFAULT_SIMPLICITY_CAP,
     ReflectorCongruence,
     bell_number,
+    congruence_search,
     coset_simplicity_report,
     invariant_modulo_subgroups,
     is_reflector_congruence,
@@ -155,9 +157,9 @@ def test_enumeration_order_frozen(z4h, z8h):
 
 
 def test_enumeration_limit_stops_early(z8h):
-    first = reflector_congruences(z8h, limit=1)
+    first = list(islice(congruence_search(z8h, DEFAULT_SIMPLICITY_CAP), 1))
     assert len(first) == 1 and first[0].eq.k == 1
-    assert len(reflector_congruences(z8h, limit=3)) == 3
+    assert len(list(islice(congruence_search(z8h, DEFAULT_SIMPLICITY_CAP), 3))) == 3
     assert len(reflector_congruences(z8h)) == 4
 
 
@@ -190,7 +192,7 @@ def with_node_count(search, *args, **kwargs):
 
 
 def assert_same_search(h, limit):
-    found, nodes = with_node_count(reflector_congruences, h, cap=h.n, limit=limit)
+    found, nodes = with_node_count(lambda: list(islice(congruence_search(h, h.n), limit)))
     assert ([c.eq.class_of for c in found], nodes) == naive_congruence_search(h, limit), \
         (h.names, limit)
 
@@ -573,6 +575,20 @@ def test_simplicity_report_matches_naive_sweep(small_hypergroup_corpus, z8h, utu
     assert witnesses == 3  # C4, the Klein group and C8
     with pytest.raises(CapExceeded):
         simplicity_report(z8h, cap=7)
+
+
+def test_simplicity_report_holds_one_congruence_at_a_time():
+    # the total table on 8 has Bell(8) = 4,140 congruences; kept in a list
+    # they take about 1 MB, counted one at a time about 11 KB
+    h = total_hypergroup(8)
+    tracemalloc.start()
+    try:
+        rep = simplicity_report(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.invariant_count, rep.witness.class_of) == (4140, (0,) * 7 + (1,))
+    assert peak < 64 * 1024, peak
 
 
 def test_bell_numbers():
