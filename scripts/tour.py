@@ -37,10 +37,14 @@ from hypergroups.presentations import (
     Presentation,
     group_trame,
     is_adequate,
-    presentation_simplicity,
     quotient,
 )
-from hypergroups.simplicity import is_simple, is_simple_coset, reflets
+from hypergroups.simplicity import (
+    is_simple,
+    is_simple_coset,
+    presentation_simplicity,
+    reflets,
+)
 
 
 def show_table(h, title):

@@ -1,19 +1,1 @@
 """Finite hypergroups: constructions, verification, reflets, simplicity."""
-
-from .core import (
-    CapExceeded,
-    Hypergroup,
-    Multistructure,
-    NotAHypergroup,
-    ParseError,
-    verify_axioms,
-)
-
-__all__ = [
-    "CapExceeded",
-    "Hypergroup",
-    "Multistructure",
-    "NotAHypergroup",
-    "ParseError",
-    "verify_axioms",
-]

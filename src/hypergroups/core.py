@@ -272,9 +272,7 @@ class Hypergroup(Multistructure):
 
 def opposite(m: Multistructure) -> Multistructure:
     """Transpose the operation: x.y in the opposite is y.x in m."""
-    n = m.n
-    rows = tuple(tuple(m.table[y][x] for y in range(n)) for x in range(n))
-    return Multistructure(m.names, rows)
+    return Multistructure(m.names, tuple(zip(*m.table)))
 
 
 def is_group(m: Multistructure) -> bool:

@@ -15,18 +15,12 @@ from __future__ import annotations
 
 from .core import (
     Frozen,
-    Hypergroup,
     Multistructure,
     product_of_sets,
     quotient_table,
     restricted_growth,
     saturation_identity,
     verify_axioms,
-)
-from .simplicity import (
-    DEFAULT_SIMPLICITY_CAP,
-    SimplicityReport,
-    simplicity_report,
 )
 
 DEFAULT_TRAME_CAP = 65536
@@ -148,17 +142,3 @@ def is_invariant_modulo_equiv(t: Trame, r: tuple[int, ...],
 
     return saturation_identity((((r[u], r[v]), r[w]) for (u, v), w in t.op.items()),
                                [image[lab] for lab in range(len(image))])
-
-
-def presentation_simplicity(p: Presentation,
-                            cap: int = DEFAULT_SIMPLICITY_CAP) -> SimplicityReport:
-    """Decide simplicity of the quotient by counting invariant coarsenings.
-
-    The invariant coarsenings are the reflector congruences of the
-    certified quotient (see simplicity_report). Raises NotAHypergroup (a
-    ValueError) when p is not adequate.
-    """
-    h = Hypergroup.certify(quotient(p))
-    if p.k == 1:
-        raise ValueError("quotient is trivial, simplicity is undefined for it")
-    return simplicity_report(h, cap)

@@ -5,7 +5,8 @@ projection pulls products back coherently; the quotient is then again a
 hypergroup (a reflet). Simplicity means exactly two reflets up to
 isomorphism, which for a non-trivial carrier is equivalent to having no
 congruence strictly between identity and total. Everything here is
-exhaustive search over partitions, pruned, plus the independent
+exhaustive search over partitions, pruned, run on a hypergroup or on
+the quotient of an adequate presentation, plus the independent
 subgroup-side decider for coset structures.
 """
 
@@ -33,6 +34,7 @@ from .groups import (
     is_invariant_modulo,
     overgroups,
 )
+from .presentations import Presentation, quotient
 
 DEFAULT_SIMPLICITY_CAP = 12
 
@@ -264,6 +266,20 @@ def simplicity_report(h: Hypergroup,
         if witness is None and 1 < c.eq.k < h.n:
             witness = c.eq
     return SimplicityReport(count == 2, count, bell_number(h.n), witness)
+
+
+def presentation_simplicity(p: Presentation,
+                            cap: int = DEFAULT_SIMPLICITY_CAP) -> SimplicityReport:
+    """Decide simplicity of the quotient by counting invariant coarsenings.
+
+    The invariant coarsenings are the reflector congruences of the
+    certified quotient (see simplicity_report). Raises NotAHypergroup (a
+    ValueError) when p is not adequate.
+    """
+    h = Hypergroup.certify(quotient(p))
+    if p.k == 1:
+        raise ValueError("quotient is trivial, simplicity is undefined for it")
+    return simplicity_report(h, cap)
 
 
 def invariant_modulo_subgroups(g: GroupTable, h: Subgroup,

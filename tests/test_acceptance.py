@@ -54,12 +54,12 @@ from hypergroups.presentations import (
     Trame,
     group_trame,
     is_adequate,
-    presentation_simplicity,
     quotient,
 )
 from hypergroups.simplicity import (
     invariant_modulo_subgroups,
     is_simple,
+    presentation_simplicity,
     reflets,
 )
 

@@ -28,9 +28,9 @@ from hypergroups.presentations import (
     group_trame,
     is_adequate,
     is_invariant_modulo_equiv,
-    presentation_simplicity,
     quotient,
 )
+from hypergroups.simplicity import presentation_simplicity
 from hypergroups.constructions import (
     canonical_presentation,
     left_coset_hypergroup,

@@ -112,7 +112,7 @@ def test_hypergroups_are_certified_only_where_the_table_comes_from_outside():
                       and f.value.id == "Hypergroup"):
                     calls[f.attr].append(owner.get(id(node), name[:-3]))
     assert {k: sorted(v) for k, v in calls.items()} == {
-        "certify": ["cli._read_hypergroup", "presentations.presentation_simplicity"],
+        "certify": ["cli._read_hypergroup", "simplicity.presentation_simplicity"],
         "_proved": ["constructions._coset_structure", "constructions.stabilizer_hypergroup",
                     "groups.as_hypergroup", "simplicity.quotient_by"],
     }
@@ -128,22 +128,10 @@ def test_tracer_wrapped_names_exist():
     assert len(wrapped) == 6 and missing == []
 
 
-def test_public_names_are_reached_outside_the_tests():
-    # every public top-level name of the library, and every public method of
-    # its classes, is reached outside its own definition: from the library,
-    # scripts/*.py, perfbench/*.py (WRAPPED names some by string) or a code
-    # span of README.md; what only the tests reach belongs in tests/.
-    # Names are matched by spelling, not resolved. A top-level name counts
-    # as reached when any identifier is spelled like it; a method only when
-    # an attribute .name is, so a local variable order does not reach
-    # Subgroup.order, though GroupTable.identity would still reach
-    # EquivalenceRelation.identity. An allowed name that is reached, or no
-    # longer defined, fails too.
-    allowed = {
-        "groups.is_normal": "the paper's group-side vocabulary",
-        "groups.is_maximal": "the paper's group-side vocabulary",
-        "groups.Subgroup.order": "the paper's |H|, read by the tests",
-    }
+def unreached_public_names(count_wrapped=True):
+    """The public names of src/ that nothing reaches outside their own
+    definition; count_wrapped=False leaves out the names that
+    perfbench/tracer.py's WRAPPED spells as strings."""
     trees = dict(library_trees())
     others = [ast.parse(path.read_text(encoding="utf-8")) for path in
               [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]]
@@ -151,7 +139,8 @@ def test_public_names_are_reached_outside_the_tests():
     for tree in [*trees.values(), *others]:
         reached.update(identifiers(tree))
         read.update(attributes(tree))
-    reached.update(name for names in tracer_wrapped().values() for name in names)
+    if count_wrapped:
+        reached.update(name for names in tracer_wrapped().values() for name in names)
     readme = (ROOT / "README.md").read_text(encoding="utf-8").split("```")
     spans = " ".join(readme[1::2] + [span for text in readme[0::2]
                                      for span in text.split("`")[1::2]])
@@ -175,7 +164,63 @@ def test_public_names_are_reached_outside_the_tests():
                 name = qualname.rpartition(".")[2]
                 if not name.startswith("_") and count[name] == list(names_in(d)).count(name):
                     unreached.append(f"{file[:-3]}.{qualname}")
-    assert sorted(unreached) == sorted(allowed)
+    return sorted(unreached)
+
+
+def test_public_names_are_reached_outside_the_tests():
+    # every public top-level name of the library, and every public method of
+    # its classes, is reached outside its own definition: from the library,
+    # scripts/*.py, perfbench/*.py (WRAPPED names some by string) or a code
+    # span of README.md; what only the tests reach belongs in tests/.
+    # Names are matched by spelling, not resolved. A top-level name counts
+    # as reached when any identifier is spelled like it; a method only when
+    # an attribute .name is, so a local variable order does not reach
+    # Subgroup.order, though GroupTable.identity would still reach
+    # EquivalenceRelation.identity. An allowed name that is reached, or no
+    # longer defined, fails too.
+    allowed = {
+        "groups.is_normal": "the paper's group-side vocabulary",
+        "groups.is_maximal": "the paper's group-side vocabulary",
+        "groups.Subgroup.order": "the paper's |H|, read by the tests",
+    }
+    assert unreached_public_names() == sorted(allowed)
+
+
+def test_names_reached_only_through_the_tracer():
+    # these stay in src/ only because the traced benchmark replay patches
+    # them by name; once WRAPPED stops naming them they move to tests/,
+    # and this list shrinks with it
+    only_wrapped = set(unreached_public_names(count_wrapped=False)) - set(unreached_public_names())
+    assert sorted(only_wrapped) == ["constructions.s_family_group_realization",
+                                    "constructions.utumi_is_associative",
+                                    "core.is_reflector",
+                                    "simplicity.invariant_modulo_subgroups"]
+
+
+def test_modules_import_only_the_layers_below():
+    # core, then groups and presentations on it, then simplicity and
+    # constructions on those three, then cli on all five; the package's
+    # __init__ imports nothing, so each name has one import path, its module
+    layers = {
+        "__init__": set(),
+        "__main__": {"cli"},
+        "core": set(),
+        "groups": {"core"},
+        "presentations": {"core"},
+        "simplicity": {"core", "groups", "presentations"},
+        "constructions": {"core", "groups", "presentations"},
+        "cli": {"core", "groups", "presentations", "simplicity", "constructions"},
+    }
+    found = {name[:-3]: {node.module for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.level}
+             for name, tree in library_trees()}
+    assert found == layers
+    src = pathlib.Path(hypergroups.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hypergroups; "
+            "print(sorted(m for m in sys.modules if m.startswith('hypergroups.')))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_runtime_imports_only_the_standard_library():
