@@ -25,11 +25,11 @@ from .core import (
     find_isomorphism,
     from_json,
     is_group,
-    json_obj,
     mask_of,
     members,
     opposite,
     restricted_growth,
+    to_json,
     verify_axioms,
 )
 from .groups import (
@@ -306,7 +306,7 @@ def _cmd_gen(args) -> int:
         m = utumi(UtumiInput(base, part, g.names.index(zname)))
     else:  # canon
         m = quotient(canonical_presentation(_read_structure(args.args[0]), args.cap_trame))
-    _emit(json_obj(m))
+    sys.stdout.write(to_json(m) + "\n")
     return 0
 
 
@@ -354,7 +354,7 @@ def _cmd_simple_coset(args) -> int:
 
 def _cmd_reflets(args) -> int:
     rs = reflets(_read_hypergroup(args.file, args.cap_n), args.cap_n)
-    _emit({"count": len(rs), "reflets": [json_obj(q) for q in rs]})
+    sys.stdout.write('{"count":%d,"reflets":[%s]}\n' % (len(rs), ",".join(map(to_json, rs))))
     return 0
 
 
@@ -371,7 +371,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_opposite(args) -> int:
     m = _read_structure(args.file)
-    _emit(json_obj(opposite(m)))
+    sys.stdout.write(to_json(opposite(m)) + "\n")
     return 0
 
 
@@ -392,7 +392,7 @@ def _cmd_trame(args) -> int:
         raise CapExceeded(f"trame size {t.t_n} exceeds cap {args.cap_trame}")
     p = Presentation(t, r)
     if args.action == "quotient":
-        _emit(json_obj(quotient(p)))
+        sys.stdout.write(to_json(quotient(p)) + "\n")
         return 0
     if args.action == "adequate":
         rep = is_adequate(p)
@@ -481,7 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except RecursionError:  # an @FILE that names itself, directly or not
+        print("error: @FILE arguments nest too deep", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except CapExceeded as e:
@@ -490,7 +494,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

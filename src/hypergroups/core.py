@@ -517,21 +517,15 @@ class EquivalenceRelation(Frozen):
 # --- canonical JSON form ---------------------------------------------------
 
 
-def json_obj(m: Multistructure) -> dict:
-    """The canonical JSON form as a dict (see to_json). The list of names
-    is built once per distinct product mask, and equal products share
-    that one list."""
-    names = m.names
-    lists = {e: [names[z] for z in members(e)] for e in set().union(*m.table)}
-    return {
-        "elements": list(names),
-        "table": [list(map(lists.__getitem__, row)) for row in m.table],
-    }
-
-
 def to_json(m: Multistructure) -> str:
-    """Canonical JSON: fixed key order, product entries in carrier order."""
-    return json.dumps(json_obj(m), separators=(",", ":"))
+    """Canonical JSON: fixed key order, product entries in carrier order,
+    no whitespace. A compact array is its elements' texts joined by commas,
+    so each name is encoded once and each distinct product's text built once."""
+    names = [json.dumps(s) for s in m.names]
+    texts = {e: "[" + ",".join([names[z] for z in members(e)]) + "]"
+             for e in set().union(*m.table)}
+    rows = ",".join(["[" + ",".join(map(texts.__getitem__, row)) + "]" for row in m.table])
+    return '{"elements":[%s],"table":[%s]}' % (",".join(names), rows)
 
 
 _space = json.decoder.WHITESPACE.match  # JSON whitespace, compiled by json itself

@@ -264,7 +264,8 @@ def tree_from_json(text):
 
 
 def naive_json_obj(m):
-    """core.json_obj one cell at a time: a fresh list of names per product."""
+    """The canonical JSON form of core.to_json as a dict, one cell at a
+    time: a fresh list of names per product."""
     return {
         "elements": list(m.names),
         "table": [[[m.names[z] for z in members(e)] for e in row] for row in m.table],

@@ -292,3 +292,17 @@ def test_wide_carrier_is_refused_before_its_rows():
                  json.dumps({"table": [], "elements": [f"x{i}" for i in range(65)]})]:
         assert outcome(tree_from_json, text) == (ParseError, "table must have 65 rows")
         assert outcome(from_json, text) == (CapExceeded, "carrier size 65 exceeds mask width 64")
+
+
+@pytest.mark.parametrize("files", [{"self.args": "@self.args"},
+                                   {"a.args": "verify\n@b.args", "b.args": "@a.args"}])
+def test_at_file_that_names_itself_is_malformed_input(tmp_path, monkeypatch, capsys, files):
+    # argparse reads @FILE arguments recursively, so a cycle of files
+    # recurses until RecursionError; that is a malformed command line
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    assert cli.main(["@" + next(iter(files))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -23,7 +23,6 @@ from hypergroups.core import (
     from_json,
     is_group,
     is_reflector,
-    json_obj,
     mask_of,
     members,
     opposite,
@@ -709,7 +708,6 @@ def test_to_json_matches_the_per_cell_form(monkeypatch):
     monkeypatch.setattr(core.json, "loads", None)
     for m in corpus:
         want = naive_json_obj(m)
-        assert json_obj(m) == want
         assert to_json(m) == json.dumps(want, separators=(",", ":"))
         assert from_json(to_json(m)) == Multistructure(m.names, m.table)
     assert len(corpus) == 20
@@ -718,23 +716,30 @@ def test_to_json_matches_the_per_cell_form(monkeypatch):
         '"\\ud834\\udd1e"],"table":[[[')
 
 
-def test_json_obj_builds_one_list_per_distinct_product(monkeypatch):
-    calls = []
+def test_to_json_encodes_each_name_and_product_once(monkeypatch):
+    calls, encoded = [], []
+    dumps = json.dumps
 
     def counting(mask):
         calls.append(mask)
         return members(mask)
 
+    def encoding(obj):
+        encoded.append(obj)
+        return dumps(obj)
+
     corpus = json_corpus()
     monkeypatch.setattr(core, "members", counting)
+    monkeypatch.setattr(core.json, "dumps", encoding)
     counts = []
     for m in corpus:
         calls.clear()
-        obj = json_obj(m)
+        encoded.clear()
+        to_json(m)
         distinct = {e for row in m.table for e in row}
         assert sorted(calls) == sorted(distinct)
-        # equal products share one list
-        assert len({id(e) for row in obj["table"] for e in row}) == len(distinct)
+        # each name once, and never the document or a product
+        assert encoded == list(m.names)
         counts.append(len(calls))
     assert counts[7:10] == [1, 1, 1] and counts[15:17] == [48, 24]
 
@@ -754,13 +759,26 @@ def test_from_json_holds_one_row_at_a_time(sizes):
     assert peak < 2 * len(text)
 
 
+@pytest.mark.parametrize("sizes", [(3, 2, 20, 15), (8, 1, 12, 12), (6, 6, 6, 6)])
+def test_to_json_holds_few_copies_of_its_text(sizes):
+    # one document built of per-cell lists, then encoded, peaks at 11-12
+    # times the text; joined texts hold the rows and the document
+    m = s_family(sizes)
+    tracemalloc.start()
+    try:
+        text = to_json(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(naive_json_obj(m), separators=(",", ":"))
+    assert peak < 4 * len(text)
+
 
 def test_hypergroup_is_a_multistructure(small_hypergroup_corpus):
     # a certified hypergroup is its table: every reader of tables gives
     # the same answer on h as on the plain table h.m
     from hypergroups.constructions import (
         UtumiInput, UtumiInputError, canonical_presentation, utumi, utumi_is_associative)
-    from hypergroups.core import json_obj
     from hypergroups.simplicity import quotient_by, reflector_congruences
     for h in small_hypergroup_corpus:
         m = h.m
@@ -770,7 +788,7 @@ def test_hypergroup_is_a_multistructure(small_hypergroup_corpus):
         assert opposite(h) == opposite(m)
         assert is_group(h) == is_group(m)
         assert cogroup_report(h) == cogroup_report(m)
-        assert json_obj(h) == json_obj(m) and to_json(h) == to_json(m)
+        assert to_json(h) == to_json(m)
         assert find_isomorphism(h, m) == find_isomorphism(m, m) \
             == find_isomorphism(m, h) == find_isomorphism(h, h)
         for x in range(h.n):
