@@ -114,6 +114,8 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def members(mask: int) -> tuple[int, ...]:
+    if not mask & (mask - 1):  # no bit, or one
+        return (mask.bit_length() - 1,) if mask else ()
     out = []
     while mask:
         low = mask & -mask

@@ -1,7 +1,8 @@
 """Finite groups as verified multiplication tables, plus subgroup machinery.
 
-Groups enter the library two ways: as explicit tables (verified) or as
-permutation sets (closed under composition). Subgroups are bit masks over
+Groups enter the library as explicit tables (verified), as permutation
+sets (closed under composition) or from a formula (Z/m and D_m, whose
+group law is a theorem). Subgroups are bit masks over
 the parent's carrier. Everything here feeds the coset constructions.
 """
 
@@ -200,32 +201,31 @@ def symmetric_group(m: int, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
 
 
 def cyclic_group(m: int) -> GroupTable:
+    """Z/m under addition mod m. x + y mod m is a group law with identity
+    0 and inverse -x mod m, so the table is returned proved, unchecked."""
     if m < 1:
         raise ValueError("order must be >= 1")
-    table = [[(x + y) % m for y in range(m)] for x in range(m)]
-    return verify_group(table, tuple(str(i) for i in range(m)))
+    table = tuple(tuple(range(x, m)) + tuple(range(x)) for x in range(m))
+    return GroupTable._proved(tuple(str(i) for i in range(m)), table, 0,
+                              tuple(-x % m for x in range(m)), None)
 
 
 def dihedral_group(m: int) -> GroupTable:
-    """Symmetries of the regular m-gon, order 2m; element i*2+j is r^i s^j."""
+    """Symmetries of the regular m-gon, order 2m; element i*2+j is r^i s^j.
+
+    (r^i s^j)(r^k s^l) = r^(i + k*(-1)^j) s^(j xor l) is the group law of
+    r^m = s^2 = 1, s r s = r^-1, with identity r^0 and inverses
+    (r^i)^-1 = r^-i and (r^i s)^-1 = r^i s, so the table is returned
+    proved, unchecked.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
-
-    def idx(i, j):
-        return i * 2 + j
-
-    table = []
-    for i in range(m):
-        for j in range(2):
-            row = []
-            for k in range(m):
-                for l in range(2):
-                    # (r^i s^j)(r^k s^l) = r^(i + k*(-1)^j) s^(j xor l)
-                    ii = (i + (k if j == 0 else -k)) % m
-                    row.append(idx(ii, j ^ l))
-            table.append(row)
+    table = tuple(tuple(2 * ((i + (k if j == 0 else -k)) % m) + (j ^ l)
+                        for k in range(m) for l in range(2))
+                  for i in range(m) for j in range(2))
     names = tuple(f"r{i}" if j == 0 else f"r{i}s" for i in range(m) for j in range(2))
-    return verify_group(table, names)
+    inverse = tuple(2 * (-i % m) if j == 0 else 2 * i + 1 for i in range(m) for j in range(2))
+    return GroupTable._proved(names, table, 0, inverse, None)
 
 
 def as_hypergroup(g: GroupTable):

@@ -81,6 +81,10 @@ def test_mask_roundtrip():
     assert mask_of([0, 3, 5]) == 0b101001
     assert members(0b101001) == (0, 3, 5)
     assert members(0) == ()
+    assert members(1) == (0,)
+    assert members(1 << 63) == (63,)
+    assert members(1 << 64) == (64,)
+    assert members(1 << 64 | 1 << 2) == (2, 64)
 
 
 def test_multistructure_validation():

@@ -285,9 +285,13 @@ def test_greedy_generators_skip_the_identity(monkeypatch):
         return cols
 
     monkeypatch.setattr(groups, "greedy_generators", recording)
+    # C48 and D15 come back proved; checked on their tables, they take the
+    # route of a group file
+    c48, d15 = cyclic_group(48), dihedral_group(15)
     builds = {"S6": lambda: symmetric_group(6, 720), "S5": lambda: symmetric_group(5),
-              "S4": lambda: symmetric_group(4), "C48": lambda: cyclic_group(48),
-              "D15": lambda: dihedral_group(15)}
+              "S4": lambda: symmetric_group(4),
+              "C48": lambda: verify_group(c48.table, c48.names),
+              "D15": lambda: verify_group(d15.table, d15.names)}
     counts = {}
     for name, build in builds.items():
         chosen.clear()
@@ -328,6 +332,21 @@ def test_dihedral_group_table(dih8):
     assert dih8.names[dih8.table[r1][dih8.names.index("r3")]] == "r0"
     # s r s = r^-1
     assert dih8.names[dih8.table[dih8.table[s][r1]][s]] == "r3"
+
+
+def test_proved_groups_match_the_checked_route():
+    # cyclic_group and dihedral_group return what their formula proves;
+    # checking the same table must derive the same group
+    built = [cyclic_group(m) for m in range(1, 121)] + [dihedral_group(m) for m in range(1, 61)]
+    for g in built:
+        checked = verify_group(g.table, g.names)
+        assert (g.names, g.table, g.identity, g.inverse, g.perms) == (
+            checked.names, checked.table, checked.identity, checked.inverse, checked.perms)
+
+
+def test_cyclic_group_refuses_order_zero():
+    with pytest.raises(ValueError, match="^order must be >= 1$"):
+        cyclic_group(0)
 
 
 def test_dihedral_group_refuses_order_zero():

@@ -91,12 +91,10 @@ def test_value_semantics_are_defined_only_in_frozen():
                                 f"presentations.py:Trame: {identity}"]
 
 
-def test_hypergroups_are_certified_only_where_the_table_comes_from_outside():
-    # a table read from a file, or one that is a hypergroup only when a
-    # presentation is adequate, goes through certify; a construction that
-    # a theorem makes a hypergroup returns it through _proved, and the
-    # axiom check it leaves out lives in the tests. No function builds a
-    # Hypergroup by calling the class, which would check it again.
+def call_sites(names):
+    """Where src/ calls each of names, or an attribute of one (N.attr(...),
+    keyed by attr): callee -> sorted module.function of the calls, the
+    innermost function, or the module at top level."""
     calls = collections.defaultdict(list)
     for name, tree in library_trees():
         owner = {}
@@ -105,16 +103,37 @@ def test_hypergroups_are_certified_only_where_the_table_comes_from_outside():
                 owner.update((id(node), f"{name[:-3]}.{fn.name}") for node in ast.walk(fn))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                f = node.func
-                if isinstance(f, ast.Name) and f.id == "Hypergroup":
-                    calls["Hypergroup"].append(owner.get(id(node), name[:-3]))
+                f, where = node.func, owner.get(id(node), name[:-3])
+                if isinstance(f, ast.Name) and f.id in names:
+                    calls[f.id].append(where)
                 elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                      and f.value.id == "Hypergroup"):
-                    calls[f.attr].append(owner.get(id(node), name[:-3]))
-    assert {k: sorted(v) for k, v in calls.items()} == {
+                      and f.value.id in names):
+                    calls[f.attr].append(where)
+    return {k: sorted(v) for k, v in calls.items()}
+
+
+def test_hypergroups_are_certified_only_where_the_table_comes_from_outside():
+    # a table read from a file, or one that is a hypergroup only when a
+    # presentation is adequate, goes through certify; a construction that
+    # a theorem makes a hypergroup returns it through _proved, and the
+    # axiom check it leaves out lives in the tests. No function builds a
+    # Hypergroup by calling the class, which would check it again.
+    assert call_sites({"Hypergroup"}) == {
         "certify": ["cli._read_hypergroup", "simplicity.presentation_simplicity"],
         "_proved": ["constructions._coset_structure", "constructions.stabilizer_hypergroup",
                     "groups.as_hypergroup", "simplicity.quotient_by"],
+    }
+
+
+def test_groups_are_checked_only_where_the_table_comes_from_outside():
+    # a group a formula or a closure proof makes is returned through
+    # GroupTable._proved; only a table read from a group file goes through
+    # verify_group, the one caller of the checking constructor
+    assert call_sites({"GroupTable", "verify_group"}) == {
+        "_proved": ["groups.cyclic_group", "groups.dihedral_group",
+                    "groups.from_permutations"],
+        "GroupTable": ["groups.verify_group"],
+        "verify_group": ["cli._load_group"],
     }
 
 
