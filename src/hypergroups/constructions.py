@@ -106,25 +106,13 @@ def s_family(sizes: Sequence[int]) -> Multistructure:
     names = ["e"] + [f"y{i}" for i in range(1, n)]
     for b, p in enumerate(sizes[1:], start=1):
         names += [f"a{b}_{j}" for j in range(1, p + 1)]
-    block_of = []
-    for b, p in enumerate(sizes):
-        block_of += [b] * p
-    block_mask = [0] * len(sizes)
-    for x in range(total):
-        block_mask[block_of[x]] |= 1 << x
     full = (1 << total) - 1
-
     table = []
-    for x in range(total):
-        row = []
-        for y in range(total):
-            if y == 0:
-                row.append(1 << x)
-            elif block_of[y] == 0:
-                row.append(block_mask[block_of[x]] & ~(1 << x))
-            else:
-                row.append(full & ~block_mask[block_of[x]])
-        table.append(tuple(row))
+    for lo, p in zip(itertools.accumulate(sizes, initial=0), sizes):
+        block = (1 << lo + p) - (1 << lo)
+        # x.y reads y only through its block: e, the rest of A_0, a later block
+        table += [(1 << x,) + (block ^ 1 << x,) * (n - 1) + (full ^ block,) * (total - n)
+                  for x in range(lo, lo + p)]
     return Multistructure(tuple(names), tuple(table))
 
 
@@ -301,12 +289,7 @@ def canonical_presentation(h: Multistructure, cap: int = DEFAULT_TRAME_CAP) -> P
     def idx(v: int, t3: int) -> int:
         return v * n ** 3 + t3
 
-    names = []
-    for v in range(n):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    names.append(f"{h.names[v]}|{h.names[a]},{h.names[b]},{h.names[c]}")
+    names = [f"{v}|{a},{b},{c}" for v, a, b, c in itertools.product(h.names, repeat=4)]
     op = {}
     for (a, b), c in products(h):
         t3 = a * n * n + b * n + c

@@ -151,11 +151,8 @@ class Multistructure(Frozen):
             raise ValueError("element names must be unique non-empty strings")
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("table must be n x n")
-        top = 1 << n
-        for row in table:
-            for e in row:
-                if not (0 <= e < top):
-                    raise ValueError("table entry out of range for carrier")
+        if not 0 <= min(map(min, table)) <= max(map(max, table)) < 1 << n:
+            raise ValueError("table entry out of range for carrier")
 
     @property
     def n(self) -> int:

@@ -285,6 +285,26 @@ def naive_utumi(data):
     return Multistructure(m.names, tuple(rows))
 
 
+def naive_s_family(sizes):
+    """The names and the table of sets of constructions.s_family, read one
+    cell at a time off its docstring: x.e = {x}; x.y = (block of x) minus
+    {x} for y in A_0 minus e; x.y = K minus (block of x) for y in a later
+    block."""
+    n = sizes[0]
+    names = ["e"] + [f"y{i}" for i in range(1, n)]
+    block_of = [0] * n
+    for b, p in enumerate(sizes[1:], start=1):
+        names += [f"a{b}_{j}" for j in range(1, p + 1)]
+        block_of += [b] * p
+    elements = range(len(names))
+    rows = []
+    for x in elements:
+        own = {z for z in elements if block_of[z] == block_of[x]}
+        rows.append([{x} if y == 0 else own - {x} if block_of[y] == 0 else set(elements) - own
+                     for y in elements])
+    return tuple(names), rows
+
+
 # --- subgroup oracles: plain-set closures, every x tried ---------------------
 
 

@@ -55,6 +55,7 @@ from conftest import (
     cogroup_report,
     identity_relation,
     naive_coset_structure,
+    naive_s_family,
     naive_utumi,
     set_product,
     table_sets,
@@ -282,6 +283,28 @@ def test_s_family_names_and_layout():
     assert m.table[3][1] == mask_of([4, 5, 6])     # a.y = block minus a
     assert m.table[3][4] == mask_of([0, 1, 2])     # a.a' = K minus block
     assert m.table[0][3] == mask_of([3, 4, 5, 6])  # e.a = K minus A0
+
+
+def size_tuples(total):
+    """Every tuple of positive block sizes summing to at most total."""
+    def extend(sizes, left):
+        yield sizes
+        for p in range(1, left + 1):
+            yield from extend(sizes + (p,), left - p)
+    for n in range(1, total + 1):
+        yield from extend((n,), total - n)
+
+
+def test_s_family_matches_its_definition_cell_by_cell():
+    count = 0
+    for sizes in size_tuples(10):
+        m = s_family(sizes)
+        names, rows = naive_s_family(sizes)
+        assert m.names == names, sizes
+        assert table_sets(m) == rows, sizes
+        count += 1
+    # every composition of 1..10, so n = 1 and singleton later blocks too
+    assert count == 2 ** 10 - 1
 
 
 def test_s_family_singleton_block_empty_product():

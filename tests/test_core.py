@@ -96,6 +96,11 @@ def test_multistructure_validation():
         Multistructure(("a", "b"), ((1,), (1, 1)))
     with pytest.raises(ValueError):
         Multistructure(("a", "b"), ((4, 1), (1, 1)))
+    # the entry range is [0, 2^n): both ends, in the last cell as well
+    for bad in (((-1, 1), (1, 1)), ((1, 1), (1, -1)), ((1, 1), (1, 4))):
+        with pytest.raises(ValueError):
+            Multistructure(("a", "b"), bad)
+    assert Multistructure(("a", "b"), ((3, 0), (0, 3))).table == ((3, 0), (0, 3))
     with pytest.raises(CapExceeded):
         Multistructure(tuple(f"x{i}" for i in range(65)),
                        tuple(tuple(1 for _ in range(65)) for _ in range(65)))

@@ -79,6 +79,12 @@ def test_verify_group_shape_and_range():
             build([[0, 1], [1, 2]])
         assert e.value.kind == "range"
         assert e.value.witness == (1, 1)
+        # a negative entry; and of two bad cells, the first in row order
+        for table, first in (([[0, -1], [1, 0]], (0, 1)),
+                             ([[0, 1, 2], [1, 7, 0], [-1, 0, 1]], (1, 1))):
+            with pytest.raises(GroupError) as e:
+                build(table)
+            assert (e.value.kind, e.value.witness) == ("range", first)
 
 
 def test_verify_group_assoc_witness_matches_exhaustive_scan():

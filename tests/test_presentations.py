@@ -8,6 +8,7 @@ import pytest
 from hypergroups.core import (
     CapExceeded,
     Hypergroup,
+    Multistructure,
     find_isomorphism,
     is_reflector,
     verify_axioms,
@@ -42,6 +43,25 @@ from conftest import Mapping, all_equivalences, reflect
 
 
 # --- oracles ------------------------------------------------------------------
+
+
+def naive_canonical_presentation(h):
+    """The names, op and labels of constructions.canonical_presentation
+    by four nested loops: the element (v, (a, b, c)) at index
+    v n^3 + a n^2 + b n + c, labelled v; the pair ((a,t),(b,t)) composes
+    to (c,t) for each t = (a,b,c) with c in a.b."""
+    n = h.n
+    names, op, r = [], {}, []
+    for v in range(n):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    names.append(f"{h.names[v]}|{h.names[a]},{h.names[b]},{h.names[c]}")
+                    r.append(v)
+                    t = (a * n + b) * n + c
+                    if h.table[a][b] >> c & 1:
+                        op[a * n ** 3 + t, b * n ** 3 + t] = c * n ** 3 + t
+    return tuple(names), op, tuple(r)
 
 
 def literal_chain_condition(t: Trame, r) -> bool:
@@ -321,6 +341,18 @@ def test_canonical_presentation_reproduces_tables(small_hypergroup_corpus):
         assert bool(is_adequate(p))
     one = canonical_presentation(as_hypergroup(cyclic_group(1)))
     assert quotient(one).names == ("0|0,0,0",)
+
+
+def test_canonical_presentation_matches_the_nested_loops():
+    rng = random.Random(33)
+    tables = [((0,),), ((1,),)]  # both one-element tables
+    tables += [((a, b), (c, d)) for a, b, c, d in itertools.product(range(4), repeat=4)]
+    tables += [tuple(tuple(rng.randrange(8) for _ in range(3)) for _ in range(3))
+               for _ in range(60)]
+    for table in tables:
+        m = Multistructure(("e", "a", "bc")[:len(table)], table)
+        p = canonical_presentation(m)
+        assert (p.trame.names, p.trame.op, p.r) == naive_canonical_presentation(m), table
 
 
 def test_canonical_presentation_cap():
