@@ -54,9 +54,10 @@ class GroupTable(Frozen):
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise GroupError("shape")
-        if not 0 <= min(map(min, table)) <= max(map(max, table)) < n:
-            raise GroupError("range", next((x, y) for x, row in enumerate(table)
-                                           for y, v in enumerate(row) if not 0 <= v < n))
+        for x in range(n):
+            for y in range(n):
+                if not (0 <= table[x][y] < n):
+                    raise GroupError("range", (x, y))
         lists = [list(row) for row in table]
         gens = greedy_generators(n, lambda a: [row[a] for row in lists])
         if any(lists[tx[a]] != [tx[v] for v in lists[a]] for a in gens for tx in lists):
@@ -246,11 +247,10 @@ class Subgroup(Frozen):
         check_mask(m, g.n, GroupError)
         if not (m >> g.identity & 1):
             raise GroupError("identity not in subgroup")
-        elements = members(m)
-        for x in elements:
+        for x in members(m):
             if not (m >> g.inverse[x] & 1):
                 raise GroupError("inverse", x)
-            for y in elements:
+            for y in members(m):
                 if not (m >> g.table[x][y] & 1):
                     raise GroupError("closure", (x, y))
 
