@@ -21,6 +21,7 @@ from .core import (
     Hypergroup,
     Multistructure,
     ParseError,
+    block_labels,
     check_carrier_size,
     find_isomorphism,
     from_json,
@@ -28,7 +29,6 @@ from .core import (
     mask_of,
     members,
     opposite,
-    restricted_growth,
     to_json,
     verify_axioms,
 )
@@ -138,21 +138,8 @@ def _read_blocks(text: str, known: Container[str]) -> list[list[str]]:
 
 
 def _parse_partition(text: str, names: Sequence[str], noun: str = "blocks") -> tuple[int, ...]:
-    """Restricted-growth labels of the partition of names that text writes
-    in blocks; noun is what the missing-element message calls the blocks."""
-    index = {s: i for i, s in enumerate(names)}
-    labels = [-1] * len(names)
-    for b, block in enumerate(_read_blocks(text, index)):
-        for s in block:
-            if s not in index:
-                raise ParseError(f"unknown element name {s!r} in partition")
-            if labels[index[s]] != -1:
-                raise ParseError(f"element {s!r} in two blocks")
-            labels[index[s]] = b
-    missing = [names[i] for i, lab in enumerate(labels) if lab == -1]
-    if missing:
-        raise ParseError(f"partition elements missing from {noun}: " + " ".join(missing))
-    return restricted_growth(labels)
+    """block_labels of the partition of names that text writes in blocks."""
+    return block_labels(names, _read_blocks(text, set(names)), noun)
 
 
 def _load_group(arg: str, cap: int) -> GroupTable:

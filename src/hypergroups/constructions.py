@@ -33,6 +33,7 @@ from .groups import (
     GroupTable,
     Subgroup,
     check_group_order,
+    check_subgroup_of,
     coset_relation,
     from_permutations,
     stabilizer_subgroup,
@@ -50,8 +51,7 @@ def _coset_structure(g: GroupTable, h: Subgroup, side: str) -> Hypergroup:
     # every x times each least y (on xH), or each least x times every y
     # (on Hx), gives every product of cosets: n.k triples, k the index.
     # A hypergroup: both bracketings of xH.yH.zH give the cosets in xHyHzH, as on Hx
-    if h.parent != g:
-        raise ValueError("subgroup belongs to a different group")
+    check_subgroup_of(g, h)
     labels, least, table = coset_relation(g, h.mask, side), [], g.table
     for x, c in enumerate(labels):
         if c == len(least):  # x is the least member of its coset

@@ -424,6 +424,25 @@ def restricted_growth(labels: Iterable) -> tuple[int, ...]:
     return tuple(seen.setdefault(lab, len(seen)) for lab in labels)
 
 
+def block_labels(names: Sequence, blocks: Iterable, noun: str = "blocks") -> tuple[int, ...]:
+    """Restricted-growth labels of the partition of names into blocks of
+    names; a ParseError for a name not in names or in two blocks, and one
+    listing the names in no block, which it says are missing from noun."""
+    index = {s: i for i, s in enumerate(names)}
+    labels = [-1] * len(names)
+    for b, block in enumerate(blocks):
+        for s in block:
+            if s not in index:
+                raise ParseError(f"unknown element name {s!r} in partition")
+            if labels[index[s]] != -1:
+                raise ParseError(f"element {s!r} in two blocks")
+            labels[index[s]] = b
+    missing = [str(names[i]) for i, lab in enumerate(labels) if lab == -1]
+    if missing:
+        raise ParseError(f"partition elements missing from {noun}: " + " ".join(missing))
+    return restricted_growth(labels)
+
+
 def quotient_table(names: Sequence[str],
                    products: Iterable[tuple[tuple[int, int], int]],
                    labels: Sequence[int]) -> Multistructure:
@@ -486,17 +505,8 @@ class EquivalenceRelation(Frozen):
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "EquivalenceRelation":
-        labels = [-1] * n
-        for b, block in enumerate(blocks):
-            for i in block:
-                if not (0 <= i < n):
-                    raise ValueError(f"block element {i} out of range")
-                if labels[i] != -1:
-                    raise ValueError(f"element {i} appears in two blocks")
-                labels[i] = b
-        if -1 in labels:
-            raise ValueError(f"element {labels.index(-1)} missing from blocks")
-        return cls.from_labels(labels)
+        """The partition of {0..n-1} into blocks, refused as block_labels refuses."""
+        return cls(block_labels(range(n), blocks))
 
     def class_mask(self, x: int) -> int:
         return self.class_masks[self.class_of[x]]

@@ -259,6 +259,12 @@ class Subgroup(Frozen):
         return self.mask.bit_count()
 
 
+def check_subgroup_of(g: GroupTable, h: Subgroup) -> None:
+    """Refuse a subgroup of a group other than g."""
+    if h.parent != g:
+        raise ValueError("subgroup belongs to a different group")
+
+
 def stabilizer_subgroup(g: GroupTable, point: int) -> Subgroup:
     if g.perms is None:
         raise ValueError("stabilizer needs a permutation realization")

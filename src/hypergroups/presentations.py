@@ -134,6 +134,7 @@ def is_invariant_modulo_equiv(t: Trame, r: tuple[int, ...],
     """
     if len(r) != t.t_n or len(s) != t.t_n:
         raise ValueError("relations must label every trame element")
+    r = restricted_growth(r)  # image is read below at the labels 0..k-1
     # refinement: the S-label must be a function of the R-label
     image: dict[int, int] = {}
     for i, lab in enumerate(r):

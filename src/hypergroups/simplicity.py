@@ -31,6 +31,7 @@ from .groups import (
     DEFAULT_GROUP_CAP,
     GroupTable,
     Subgroup,
+    check_subgroup_of,
     is_invariant_modulo,
     overgroups,
 )
@@ -288,6 +289,7 @@ def invariant_modulo_subgroups(g: GroupTable, h: Subgroup,
 
     Such K lie in the interval [h, g], both ends included.
     """
+    check_subgroup_of(g, h)
     return [k for k in overgroups(g, h.mask, cap) if is_invariant_modulo(g, h.mask, k.mask)]
 
 
@@ -298,6 +300,7 @@ def coset_simplicity_report(g: GroupTable, h: Subgroup,
     Simple when h and g are the only subgroups invariant modulo h (so not
     for h = g); the witness is the first invariant one strictly between.
     """
+    check_subgroup_of(g, h)
     interval = overgroups(g, h.mask, cap)
     inv = [k for k in interval if is_invariant_modulo(g, h.mask, k.mask)]
     witness = next((k for k in inv if k.mask not in (h.mask, g.full_mask)), None)

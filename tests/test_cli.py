@@ -9,7 +9,8 @@ import pytest
 
 from hypergroups.cli import format_trame, parse_trame
 from hypergroups.constructions import canonical_presentation, s_family
-from hypergroups.core import Hypergroup, Multistructure, restricted_growth, to_json
+from hypergroups.core import (EquivalenceRelation, Hypergroup, Multistructure, ParseError,
+                              restricted_growth, to_json)
 from hypergroups.groups import (Subgroup, as_hypergroup, coset_relation, cyclic_group,
                                 symmetric_group)
 from hypergroups.presentations import Trame, group_trame
@@ -470,6 +471,42 @@ def test_partition_written_either_way(tmp_path, capsys):
     assert cli.main(["trame", "invariant", "--s", "{p q} {r s}", str(path)]) == 0
     assert capsys.readouterr().out == '{"invariant":true}\n'
     assert parse_trame(pair + "classes: {p,q}|{r,s}\n")[1] == (0, 0, 1, 1)
+
+
+def test_blocks_read_alike_by_the_library_and_the_cli(capsys):
+    # EquivalenceRelation.from_blocks and every CLI partition literal go
+    # through core.block_labels: on random partitions, empty blocks
+    # included, both give the labels of each element's block, and on the
+    # same malformed block lists the same message, but for the quotes the
+    # CLI puts around a name it read as a string
+    import hypergroups.cli as cli
+    rng = random.Random(34)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        blocks = [[] for _ in range(rng.randint(1, n + 2))]
+        for x in rng.sample(range(n), n):
+            rng.choice(blocks).append(x)
+        block_of = {x: b for b, block in enumerate(blocks) for x in block}
+        want = EquivalenceRelation.from_labels([block_of[x] for x in range(n)])
+        assert EquivalenceRelation.from_blocks(n, blocks) == want
+        named = [list(map(str, b)) for b in blocks if b]
+        for text in _three_writings(named):
+            assert cli._parse_partition(text, cyclic_group(n).names) == want.class_of, text
+        bad = [list(b) for b in blocks]
+        kind, b = rng.choice(("unknown", "twice", "missing")), rng.choice(bad)
+        if kind == "unknown":
+            b.insert(rng.randint(0, len(b)), rng.choice((-1, n, n + 5)))
+        elif kind == "twice":
+            b.insert(rng.randint(0, len(b)), rng.randrange(n))
+        else:
+            for x in rng.sample(range(n), rng.randint(1, n)):
+                next(b for b in bad if x in b).remove(x)
+        with pytest.raises(ParseError) as refused:
+            EquivalenceRelation.from_blocks(n, bad)
+        literal = " ".join("{" + " ".join(map(str, b)) + "}" for b in bad if b)
+        assert cli.main(["gen", "utumi", f"cyc:{n}", literal, "0"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err.replace("'", "")) == ("", f"error: {refused.value}\n"), (bad, err)
 
 
 def test_simple_has_no_method_option(capsys):

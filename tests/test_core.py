@@ -649,12 +649,17 @@ def test_equivalence_relation_basics():
 
 
 def test_from_blocks_errors():
-    with pytest.raises(ValueError):
+    # the CLI's partition messages, every missing element listed
+    with pytest.raises(ParseError, match="^partition elements missing from blocks: 2$"):
         EquivalenceRelation.from_blocks(3, [[0, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="^partition elements missing from blocks: 0 2$"):
+        EquivalenceRelation.from_blocks(3, [[], [1]])
+    with pytest.raises(ParseError, match="^element 1 in two blocks$"):
         EquivalenceRelation.from_blocks(3, [[0, 1], [1, 2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="^unknown element name 5 in partition$"):
         EquivalenceRelation.from_blocks(3, [[0, 1, 5], [2]])
+    with pytest.raises(ParseError, match="^unknown element name -1 in partition$"):
+        EquivalenceRelation.from_blocks(3, [[0, -1, 1], [2]])
 
 
 def test_all_equivalences_counts():

@@ -445,6 +445,23 @@ def test_invariance_refuses_relations_of_the_wrong_length(sym3):
             is_invariant_modulo_equiv(t, rr, ss)
 
 
+def test_invariance_reads_r_labels_in_any_numbering():
+    # R's labels need not be in restricted-growth order: (0, 2, 2) is the
+    # relation (0, 1, 1), and a relabelled R decides as R does
+    t = Trame(("a", "b", "c"), {(0, 0): 0, (1, 1): 2})
+    for s in ((0, 0, 0), (0, 1, 1), (0, 0, 1), (0, 1, 2)):
+        assert is_invariant_modulo_equiv(t, (0, 2, 2), s) == \
+            is_invariant_modulo_equiv(t, (0, 1, 1), s), s
+    assert not is_invariant_modulo_equiv(t, (0, 2, 2), (0, 0, 0))
+    g = symmetric_group(3)
+    r = coset_relation(g, stabilizer_subgroup(g, 0).mask, "right")
+    shifted = tuple(7 - lab for lab in r)
+    for h in subgroups(g):
+        s = coset_relation(g, h.mask, "right")
+        assert is_invariant_modulo_equiv(group_trame(g), shifted, s) == \
+            is_invariant_modulo_equiv(group_trame(g), r, s)
+
+
 def test_invariance_agrees_with_subgroup_invariance(sym3, z8, dih8):
     for g in (sym3, z8, dih8):
         t = group_trame(g)

@@ -610,6 +610,19 @@ def test_invariant_modulo_subgroups_frozen(sym3, dih8):
     assert [k.order for k in invariant_modulo_subgroups(dih8, center)] == [2, 4, 4, 4, 8]
 
 
+def test_subgroup_of_another_group_is_refused_by_both_routes():
+    # D_3 and Z/6 both have six elements, so {0, 3} is a mask of D_3 too,
+    # and only the parent tells the subgroup's group apart
+    g, h = dihedral_group(3), Subgroup(cyclic_group(6), 0b1001)
+    for entry in (right_coset_hypergroup, left_coset_hypergroup, coset_simplicity_report,
+                  is_simple_coset, invariant_modulo_subgroups):
+        with pytest.raises(ValueError, match="^subgroup belongs to a different group$"):
+            entry(g, h)
+    # a subgroup of an equal group, built apart, is a subgroup of g
+    assert is_simple_coset(g, Subgroup(dihedral_group(3), 0b11)) == \
+        is_simple_coset(g, Subgroup(g, 0b11))
+
+
 def test_is_simple_coset_examples(sym3, sym4, z8, dih8):
     assert is_simple_coset(sym3, stabilizer_subgroup(sym3, 0))
     assert is_simple_coset(sym4, stabilizer_subgroup(sym4, 0))

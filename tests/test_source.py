@@ -137,6 +137,23 @@ def test_groups_are_checked_only_where_the_table_comes_from_outside():
     }
 
 
+def test_blocks_become_labels_only_in_block_labels():
+    # one reader from partition blocks to labels: the three refusals of a
+    # partition are raised only in core, and only from_blocks and the CLI's
+    # partition literal call core.block_labels, the function raising them
+    refusals = (" in partition", " in two blocks", "partition elements missing from ")
+    raised = collections.Counter()
+    for name, tree in library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                raised.update((name, text) for c in ast.walk(node)
+                              if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                              for text in refusals if text in c.value)
+    assert raised == {("core.py", text): 1 for text in refusals}
+    assert call_sites({"block_labels"}) == {
+        "block_labels": ["cli._parse_partition", "core.from_blocks"]}
+
+
 def test_tracer_wrapped_names_exist():
     # the traced benchmark replay patches every WRAPPED name with getattr,
     # so a name that no longer exists crashes it
