@@ -9,11 +9,12 @@ cap was exceeded.
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import re
 import sys
-from typing import Container, Optional, Sequence
+from types import SimpleNamespace
+from typing import Container, Iterator, NoReturn, Optional, Sequence
 
 from .core import (
     CapExceeded,
@@ -400,80 +401,149 @@ def _cmd_trame(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # one parent per cap, so each verb accepts only the caps it reads
-    cap_n = argparse.ArgumentParser(add_help=False)
-    cap_n.add_argument("--cap-n", type=int, default=DEFAULT_SIMPLICITY_CAP,
-                       help="carrier cap for congruence search (default 12)")
-    cap_group = argparse.ArgumentParser(add_help=False)
-    cap_group.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP,
-                           help="group order cap (default 120)")
-    cap_trame = argparse.ArgumentParser(add_help=False)
-    cap_trame.add_argument("--cap-trame", type=int, default=DEFAULT_TRAME_CAP,
-                           help="trame carrier cap (default 65536)")
+# verb: (handler, help line, positionals, options). A positional maps to its
+# choices or None, and a last one named with a trailing '+' takes one or more
+# arguments; an option, none a prefix of another, to its int default, its
+# choices (the first the default), or None for a string.
+_VERBS = {
+    "gen": (_cmd_gen, "emit a structure as JSON", {"kind": tuple(_GEN_ARITY), "args+": None},
+            {"--cap-group": DEFAULT_GROUP_CAP, "--cap-trame": DEFAULT_TRAME_CAP,
+             "--side": ("right", "left")}),
+    "verify": (_cmd_verify, "check the hypergroup axioms", {"file": None}, {}),
+    "simple": (_cmd_simple, "decide simplicity by search", {"file": None},
+               {"--cap-n": DEFAULT_SIMPLICITY_CAP}),
+    "simple-coset": (_cmd_simple_coset, "decide coset-structure simplicity on the subgroup side",
+                     {"group": None, "subgroup": None}, {"--cap-group": DEFAULT_GROUP_CAP}),
+    "reflets": (_cmd_reflets, "list quotients by all reflector congruences", {"file": None},
+                {"--cap-n": DEFAULT_SIMPLICITY_CAP}),
+    "iso": (_cmd_iso, "search for an isomorphism", {"file1": None, "file2": None}, {}),
+    "opposite": (_cmd_opposite, "transpose the operation", {"file": None}, {}),
+    "classify-s": (_cmd_classify_s, "classify S(n, sizes) parameters", {"sizes+": None}, {}),
+    "trame": (_cmd_trame, "partial-operation files",
+              {"action": ("quotient", "adequate", "invariant"), "file": None},
+              {"--cap-trame": DEFAULT_TRAME_CAP, "--s": None}),
+}
 
-    # @FILE reads further arguments from FILE, one a line
-    ap = argparse.ArgumentParser(
-        prog="hypergroups", fromfile_prefix_chars="@",
-        description="finite hypergroups: generators, verifiers, simplicity deciders")
-    sub = ap.add_subparsers(dest="verb", required=True)
 
-    g = sub.add_parser("gen", parents=[cap_group, cap_trame], help="emit a structure as JSON")
-    g.add_argument("kind", choices=list(_GEN_ARITY))
-    g.add_argument("args", nargs="+")
-    g.add_argument("--side", choices=["right", "left"], default="right")
-    g.set_defaults(fn=_cmd_gen)
+def _stop(verb: Optional[str], error: Optional[str] = None) -> NoReturn:
+    """Exit as argparse does: 2 on a usage error, 0 on -h, after the usage line."""
+    usage = "usage: hypergroups [-h] {" + ",".join(_VERBS) + "} ..."
+    if verb is not None:
+        _, _, positionals, options = _VERBS[verb]
+        shown = {name: "{" + ",".join(spec) + "}" if isinstance(spec, tuple) else
+                 name[2:].replace("-", "_").upper() if name[0] == "-" else
+                 f"{name[:-1]} [{name[:-1]} ...]" if name[-1] == "+" else name
+                 for name, spec in {**options, **positionals}.items()}
+        usage = f"usage: hypergroups {verb} [-h] " + " ".join(
+            [f"[{o} {shown[o]}]" for o in options] + [shown[p] for p in positionals])
+    if error is not None:
+        sys.stderr.write(f"{usage}\nhypergroups{' ' + verb if verb else ''}: error: {error}\n")
+        sys.exit(2)
+    print(usage, "", *(f"  {n:<13} {entry[1]}" for n, entry in _VERBS.items() if verb in (None, n)),
+          sep="\n")
+    sys.exit(0)
 
-    v = sub.add_parser("verify", help="check the hypergroup axioms")
-    v.add_argument("file")
-    v.set_defaults(fn=_cmd_verify)
 
-    s = sub.add_parser("simple", parents=[cap_n], help="decide simplicity by search")
-    s.add_argument("file")
-    s.set_defaults(fn=_cmd_simple)
+def _checked(verb: Optional[str], name: str, spec, value: str):
+    if isinstance(spec, tuple) and value not in spec:
+        _stop(verb, f"argument {name}: invalid choice: {value!r} "
+                    f"(choose from {', '.join(map(repr, spec))})")
+    try:
+        return int(value) if isinstance(spec, int) else value
+    except ValueError:
+        _stop(verb, f"argument {name}: invalid int value: {value!r}")
 
-    sc = sub.add_parser("simple-coset", parents=[cap_group],
-                        help="decide coset-structure simplicity on the subgroup side")
-    sc.add_argument("group")
-    sc.add_argument("subgroup")
-    sc.set_defaults(fn=_cmd_simple_coset)
 
-    rf = sub.add_parser("reflets", parents=[cap_n],
-                        help="list quotients by all reflector congruences")
-    rf.add_argument("file")
-    rf.set_defaults(fn=_cmd_reflets)
+def _expand(argv: Sequence[str], inside: tuple = ()) -> Iterator[str]:
+    """argv with each @FILE replaced by its lines, expanded in turn to 100 files deep."""
+    for arg in argv:
+        if not arg.startswith("@"):
+            yield arg
+            continue
+        try:
+            with open(arg[1:], encoding="utf-8") as fh:
+                key, lines = os.fstat(fh.fileno())[1:3], fh.read().splitlines()  # inode, device
+        except OSError as e:
+            _stop(None, str(e))
+        if key in inside or len(inside) == 100:
+            raise ParseError("@FILE arguments nest too deep")
+        yield from _expand(lines, (*inside, key))
 
-    i = sub.add_parser("iso", help="search for an isomorphism")
-    i.add_argument("file1")
-    i.add_argument("file2")
-    i.set_defaults(fn=_cmd_iso)
 
-    o = sub.add_parser("opposite", help="transpose the operation")
-    o.add_argument("file")
-    o.set_defaults(fn=_cmd_opposite)
+def _read(token: str, names: Sequence[str], verb: Optional[str]):
+    """How argparse reads token against the option names: None for a positional,
+    else (option, the argument after its '=' or None), option None when unknown.
+    A long option may be cut to a prefix of it alone; one of two is refused."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, tail = token.partition("=")
+    found = [name for name in names if name == token or token[1] == "-" and name.startswith(head)]
+    if len(found) > 1:
+        _stop(verb, f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], tail if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
 
-    c = sub.add_parser("classify-s", help="classify S(n, sizes) parameters")
-    c.add_argument("sizes", nargs="+")
-    c.set_defaults(fn=_cmd_classify_s)
 
-    t = sub.add_parser("trame", parents=[cap_trame], help="partial-operation files")
-    t.add_argument("action", choices=["quotient", "adequate", "invariant"])
-    t.add_argument("file")
-    t.add_argument("--s", default=None,
-                   help="coarser partition literal for 'invariant'")
-    t.set_defaults(fn=_cmd_trame)
+def _parse_verb(verb: str, tokens: list[str]) -> tuple[SimpleNamespace, list[str]]:
+    """One verb's fields read left to right as argparse reads them, and the rest."""
+    fn, _, positionals, options = _VERBS[verb]
+    values = {o: spec[0] if isinstance(spec, tuple) else spec for o, spec in options.items()}
+    slots = list(positionals.items())
+    cut = (tokens + ["--"]).index("--")  # after it, only positionals; the end reads as one
+    read = [_read(t, ("-h", "--help", *options), verb) for t in tokens[:cut]]
+    read += ["--"] + [None] * len(tokens[cut + 1:])
+    given, extras, i, took, closed = [], [], 0, False, False
+    while i < len(tokens):
+        t, r = tokens[i], read[i]
+        i += 1
+        # a '+' positional takes one run of arguments, closed by an option
+        room = len(given) < len(slots) or slots[-1][0].endswith("+") and not closed
+        if r is None and room:
+            given.append(_checked(verb, *slots[min(len(given), len(slots) - 1)], t))
+        elif r is None or r == "--" and not (took or i < len(tokens) and room):
+            extras.append(t)  # a '--' next to a positional is dropped
+        elif r != "--":
+            closed, (option, value) = len(given) >= len(slots), r
+            if option is None:
+                extras.append(t)
+            elif option in ("-h", "--help"):
+                _stop(verb)
+            else:
+                if value is None:
+                    if read[i] is not None:
+                        _stop(verb, f"argument {option}: expected one argument")
+                    value, i = tokens[i], i + 1
+                values[option] = _checked(verb, option, options[option], value)
+        took = r is None and room
+    missing = [name.rstrip("+") for name, _ in slots[len(given):]]
+    if missing:
+        _stop(verb, f"the following arguments are required: {', '.join(missing)}")
+    values.update((name.rstrip("+"), given[j:] if name.endswith("+") else given[j])
+                  for j, (name, _) in enumerate(slots))
+    return SimpleNamespace(verb=verb, fn=fn, **{
+        name.lstrip("-").replace("-", "_"): value for name, value in values.items()}), extras
 
-    return ap
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
+    """argv (sys.argv[1:] by default) read against _VERBS as argparse read it."""
+    tokens = list(_expand(sys.argv[1:] if argv is None else argv))
+    for i, t in enumerate(tokens + ["--"]):  # before the verb: -h, or unknown options
+        if t == "--" or not (r := _read(t, ("-h", "--help"), None)):
+            break
+        if r[0] is not None:
+            _stop(None)
+    if tokens[i:] in ([], ["--"]):
+        _stop(None, "the following arguments are required: verb")
+    ns, extras = _parse_verb(_checked(None, "verb", tuple(_VERBS), tokens[i]), tokens[i + 1:])
+    if tokens[:i] + extras:
+        _stop(None, f"unrecognized arguments: {' '.join(tokens[:i] + extras)}")
+    return ns
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except RecursionError:  # an @FILE that names itself, directly or not
-        print("error: @FILE arguments nest too deep", file=sys.stderr)
-        return 2
-    try:
+        args = parse_args(argv)
         return args.fn(args)
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)

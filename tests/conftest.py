@@ -1,3 +1,4 @@
+import argparse
 import functools
 import itertools
 import json
@@ -5,6 +6,18 @@ import json
 import pytest
 from hypothesis import settings
 
+from hypergroups.cli import (
+    _GEN_ARITY,
+    _cmd_classify_s,
+    _cmd_gen,
+    _cmd_iso,
+    _cmd_opposite,
+    _cmd_reflets,
+    _cmd_simple,
+    _cmd_simple_coset,
+    _cmd_trame,
+    _cmd_verify,
+)
 from hypergroups.core import (
     AxiomReport,
     EquivalenceRelation,
@@ -22,6 +35,7 @@ from hypergroups.core import (
     verify_axioms,
 )
 from hypergroups.groups import (
+    DEFAULT_GROUP_CAP,
     GroupError,
     GroupTable,
     Subgroup,
@@ -41,12 +55,13 @@ from hypergroups.constructions import (
     utumi,
 )
 from hypergroups.presentations import (
+    DEFAULT_TRAME_CAP,
     Presentation,
     is_adequate,
     is_invariant_modulo_equiv,
     quotient,
 )
-from hypergroups.simplicity import reflector_congruences
+from hypergroups.simplicity import DEFAULT_SIMPLICITY_CAP, reflector_congruences
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -916,3 +931,72 @@ def small_hypergroup_corpus(sym3, klein):
         right_coset_hypergroup(sym3, stabilizer_subgroup(sym3, 0)),
     ]
     return out
+
+
+# --- the argparse parser the command line's own reader replaced ---------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # one parent per cap, so each verb accepts only the caps it reads
+    cap_n = argparse.ArgumentParser(add_help=False)
+    cap_n.add_argument("--cap-n", type=int, default=DEFAULT_SIMPLICITY_CAP,
+                       help="carrier cap for congruence search (default 12)")
+    cap_group = argparse.ArgumentParser(add_help=False)
+    cap_group.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP,
+                           help="group order cap (default 120)")
+    cap_trame = argparse.ArgumentParser(add_help=False)
+    cap_trame.add_argument("--cap-trame", type=int, default=DEFAULT_TRAME_CAP,
+                           help="trame carrier cap (default 65536)")
+
+    # @FILE reads further arguments from FILE, one a line
+    ap = argparse.ArgumentParser(
+        prog="hypergroups", fromfile_prefix_chars="@",
+        description="finite hypergroups: generators, verifiers, simplicity deciders")
+    sub = ap.add_subparsers(dest="verb", required=True)
+
+    g = sub.add_parser("gen", parents=[cap_group, cap_trame], help="emit a structure as JSON")
+    g.add_argument("kind", choices=list(_GEN_ARITY))
+    g.add_argument("args", nargs="+")
+    g.add_argument("--side", choices=["right", "left"], default="right")
+    g.set_defaults(fn=_cmd_gen)
+
+    v = sub.add_parser("verify", help="check the hypergroup axioms")
+    v.add_argument("file")
+    v.set_defaults(fn=_cmd_verify)
+
+    s = sub.add_parser("simple", parents=[cap_n], help="decide simplicity by search")
+    s.add_argument("file")
+    s.set_defaults(fn=_cmd_simple)
+
+    sc = sub.add_parser("simple-coset", parents=[cap_group],
+                        help="decide coset-structure simplicity on the subgroup side")
+    sc.add_argument("group")
+    sc.add_argument("subgroup")
+    sc.set_defaults(fn=_cmd_simple_coset)
+
+    rf = sub.add_parser("reflets", parents=[cap_n],
+                        help="list quotients by all reflector congruences")
+    rf.add_argument("file")
+    rf.set_defaults(fn=_cmd_reflets)
+
+    i = sub.add_parser("iso", help="search for an isomorphism")
+    i.add_argument("file1")
+    i.add_argument("file2")
+    i.set_defaults(fn=_cmd_iso)
+
+    o = sub.add_parser("opposite", help="transpose the operation")
+    o.add_argument("file")
+    o.set_defaults(fn=_cmd_opposite)
+
+    c = sub.add_parser("classify-s", help="classify S(n, sizes) parameters")
+    c.add_argument("sizes", nargs="+")
+    c.set_defaults(fn=_cmd_classify_s)
+
+    t = sub.add_parser("trame", parents=[cap_trame], help="partial-operation files")
+    t.add_argument("action", choices=["quotient", "adequate", "invariant"])
+    t.add_argument("file")
+    t.add_argument("--s", default=None,
+                   help="coarser partition literal for 'invariant'")
+    t.set_defaults(fn=_cmd_trame)
+
+    return ap

@@ -512,7 +512,7 @@ def test_blocks_read_alike_by_the_library_and_the_cli(capsys):
 def test_simple_has_no_method_option(capsys):
     import hypergroups.cli as cli
     with pytest.raises(SystemExit) as e:
-        cli.build_parser().parse_args(["simple", "f", "--method", "brute"])
+        cli.parse_args(["simple", "f", "--method", "brute"])
     assert e.value.code == 2
     assert "unrecognized arguments: --method brute" in capsys.readouterr().err
 
@@ -766,17 +766,16 @@ def test_each_verb_accepts_only_the_caps_it_reads(files, capsys):
     }
     settable = 0
     for argv, reads in verbs.items():
-        parser = cli.build_parser()
-        defaults = parser.parse_args(list(argv))
+        defaults = cli.parse_args(list(argv))
         for flag, (attr, default) in caps.items():
             if flag in reads:
                 assert getattr(defaults, attr) == default
-                assert getattr(parser.parse_args([*argv, flag, "7"]), attr) == 7
+                assert getattr(cli.parse_args([*argv, flag, "7"]), attr) == 7
                 settable += 1
             else:
                 assert not hasattr(defaults, attr), (argv, flag)
                 with pytest.raises(SystemExit) as e:
-                    parser.parse_args([*argv, flag, "7"])
+                    cli.parse_args([*argv, flag, "7"])
                 assert e.value.code == 2, (argv, flag)
                 assert "unrecognized arguments" in capsys.readouterr().err
     assert settable == 6

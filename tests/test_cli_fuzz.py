@@ -1,12 +1,14 @@
 """The command line's exit-code contract, fuzzed in-process.
 
 Every verb, fed small valid and malformed inputs, returns 0, 1, 2 or 3,
-or stops in argparse with SystemExit(2); no other exception escapes.
+or stops on a usage error with SystemExit(2); no other exception escapes.
 Inputs stay small (structures of at most 6 elements, trames of at most
 8, groups of degree or order at most 6) and caps stay at their defaults
 or lower, so nothing large is built.
 """
 
+import contextlib
+import io
 import json
 import re
 
@@ -18,7 +20,7 @@ from hypergroups.constructions import s_family
 from hypergroups.core import CapExceeded, ParseError, from_json, members, to_json
 from hypergroups.groups import as_hypergroup, cyclic_group, symmetric_group
 
-from conftest import tree_from_json
+from conftest import build_parser, tree_from_json
 
 NAMES = ("e", "a", "b", "c", "0", "1", "2", "3", "x,y", "012", "102", "|", "{")
 GARBAGE = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
@@ -192,7 +194,7 @@ def test_every_verb_exits_with_a_contract_code(workdir, verb, data):
     argv = [str(workdir / t) if t.endswith((".json", ".trame")) else t for t in argv]
     try:
         code = cli.main(argv)
-    except SystemExit as e:  # argparse refuses the command line
+    except SystemExit as e:  # a usage error refuses the command line
         assert e.code == 2, argv
     else:
         assert code in (0, 1, 2, 3), argv
@@ -297,8 +299,8 @@ def test_wide_carrier_is_refused_before_its_rows():
 @pytest.mark.parametrize("files", [{"self.args": "@self.args"},
                                    {"a.args": "verify\n@b.args", "b.args": "@a.args"}])
 def test_at_file_that_names_itself_is_malformed_input(tmp_path, monkeypatch, capsys, files):
-    # argparse reads @FILE arguments recursively, so a cycle of files
-    # recurses until RecursionError; that is a malformed command line
+    # the reader tracks the @FILEs it is inside, so a cycle of files is a
+    # malformed command line, refused before it recurses
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text + "\n")
@@ -306,3 +308,172 @@ def test_at_file_that_names_itself_is_malformed_input(tmp_path, monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_at_file_named_twice_is_read_twice(tmp_path, capsys):
+    # two @FILEs naming one file side by side are no cycle: each is
+    # expanded, as argparse expands them
+    (tmp_path / "a.json").write_text(to_json(as_hypergroup(cyclic_group(3))))
+    args = tmp_path / "a.args"
+    args.write_text(f"{tmp_path / 'a.json'}\n")
+    argv = ["iso", f"@{args}", f"@{args}"]
+    assert vars(cli.parse_args(argv)) == vars(build_parser().parse_args(argv))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == '{"isomorphic":true,"bijection":["0","1","2"]}\n'
+
+
+def test_at_file_chain_past_100_files_is_malformed_input(tmp_path, capsys):
+    # a chain of distinct files is refused at a fixed depth, long before
+    # the interpreter's recursion limit
+    for k in range(100):
+        (tmp_path / f"{k}.args").write_text(f"@{tmp_path / f'{k + 1}.args'}\n")
+    (tmp_path / "100.args").write_text("classify-s\n3\n")
+    assert cli.main([f"@{tmp_path / '1.args'}"]) == 0
+    assert cli.main([f"@{tmp_path / '0.args'}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: @FILE arguments nest too deep\n"
+
+
+def test_at_file_that_is_not_utf8_is_malformed_input(tmp_path, capsys):
+    args = tmp_path / "bad.args"
+    args.write_bytes(b"\xff\n")
+    assert cli.main([f"@{args}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: 'utf-8' codec can't decode")
+
+
+# --- the command-line reader against the argparse parser it replaced ----------
+
+CAP = ["7", "-1", "0", " 12"]
+# verb: (the pools its positionals are drawn from, the last repeated one to
+# three times when it takes several; each option's spellings, prefixes
+# included, with its values; --cap is ambiguous in gen)
+VALID = {
+    "gen": ([["sym", "cyc", "coset", "s-family", "utumi", "canon"], ["3", "-1", "", "cyc:3"]],
+            {("--cap-group", "--cap-g", "--cap"): CAP, ("--cap-trame", "--cap-t"): CAP,
+             ("--side", "--si", "--s"): ["right", "left"]}),
+    "verify": ([["f.json", "", "-1"]], {}),
+    "simple": ([["f.json", "a b"]], {("--cap-n", "--cap", "--c"): CAP}),
+    "simple-coset": ([["cyc:3", "sym:3"], ["{0}", "stab:0"]],
+                     {("--cap-group", "--cap", "--c"): CAP}),
+    "reflets": ([["f.json"]], {("--cap-n", "--cap-"): CAP}),
+    "iso": ([["a.json", "-1"], ["b.json", ""]], {}),
+    "opposite": ([["f.json"]], {}),
+    "classify-s": ([["3", "-1", "x"]], {}),
+    "trame": ([["quotient", "adequate", "invariant"], ["f.trame"]],
+              {("--cap-trame", "--cap", "--c"): CAP, ("--s",): ["{t0}", "", "-1", "a b", "-x=1"]}),
+}
+POSITIONALS = ["sym", "quotient", "3", "-1", "", "a b", "f.json"]
+OPTIONS = ["--cap-n", "--cap-group", "--cap-trame", "--side", "--s", "--cap", "--cap-",
+           "--cap-g", "--c", "--si", "--bogus"]
+VALUES = ["7", "-1", "", "x", "left", "up", "{t0}", "a b", "-x", "-h", "--cap-n"]
+ALONE = ["-h", "--help", "--he", "-x", "-1", "-", "--bogus", "--cap"]
+
+
+def spelled(draw, option, value):
+    """option and value as '--opt v' or '--opt=v', now and then without value."""
+    return draw(st.sampled_from([[option, value], [f"{option}={value}"], [option]]))
+
+
+@st.composite
+def fault(draw, positional=True):
+    """One piece that may not fit the verb: a positional, an option, or a
+    token that stands alone."""
+    what = draw(st.sampled_from(["alone", "option"] + ["positional"] * positional))
+    if what == "option":
+        return spelled(draw, draw(st.sampled_from(OPTIONS)), draw(st.sampled_from(VALUES)))
+    return [draw(st.sampled_from(ALONE if what == "alone" else POSITIONALS))]
+
+
+@st.composite
+def command_line(draw, workdir, verb):
+    """(argv, files): verb with its positionals and options in any
+    order, now and then a fault among them or before the verb, a '--', a
+    run of arguments moved into an @FILE or into one inside it, or an
+    @FILE that does not exist."""
+    pools, options = VALID.get(verb, ([], {}))
+    pieces = [[draw(st.sampled_from(pool))] for pool in pools]
+    if verb in ("gen", "classify-s"):
+        pieces += [[draw(st.sampled_from(pools[-1]))] for _ in range(draw(st.integers(0, 2)))]
+    if pieces and draw(st.sampled_from([False] * 4 + [True])):
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    for spellings, values in options.items():
+        for _ in range(draw(st.integers(0, 1))):
+            piece = spelled(draw, draw(st.sampled_from(spellings)), draw(st.sampled_from(values)))
+            pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    if draw(st.sampled_from([False, True])):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(fault()))
+    before = draw(st.sampled_from([[], [], draw(fault(positional=False))]))
+    argv = before + [verb] * bool(verb) + [t for piece in pieces for t in piece]
+    if draw(st.booleans()):
+        first = draw(st.sampled_from([min(len(before) + 1, len(argv))] * 4 + [0]))
+        argv.insert(draw(st.integers(first, len(argv))), "--")
+    files = {}
+    for name in ["outer.args", "inner.args"][:draw(st.sampled_from([0, 0, 1, 2])) * bool(argv)]:
+        inside = files.get("outer.args", argv)
+        i = draw(st.integers(0, len(inside) - 1))
+        j = draw(st.integers(i + 1, len(inside)))
+        files[name] = inside[i:j]
+        inside[i:j] = [f"@{workdir / name}"]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv.insert(draw(st.integers(0, len(argv))), f"@{workdir / 'missing.args'}")
+    return argv, files
+
+
+def argparse_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+def reading(parse, argv):
+    """What parse makes of argv: its fields; or, when it exits, the first
+    three words of its help (exit 0) or the error line after its usage."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as e:
+        if e.code == 0:
+            return 0, out.getvalue().split()[:3]
+        assert err.getvalue().startswith("usage: hypergroups")
+        return e.code, re.search(r"^hypergroups.*", err.getvalue(), re.M | re.S)[0]
+
+
+@pytest.mark.parametrize("verb", [*VALID, "ge", None])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_reader_reads_command_lines_as_argparse_did(workdir, verb, data):
+    argv, files = data.draw(command_line(workdir, verb))
+    for name, lines in files.items():
+        (workdir / name).write_text("".join(line + "\n" for line in lines))
+    assert reading(cli.parse_args, argv) == reading(argparse_parse, argv)
+
+
+def test_reader_departs_from_argparse_only_where_named(tmp_path):
+    # argparse drops the first '--' among the values of each argument, even
+    # one attached with '=' or one after the '--' that ended the options,
+    # and may leave [] where the verb reads a string; the reader keeps '--'
+    for argv, field, argparse_value, value in [
+            (["trame", "invariant", "f", "--s=--"], "s", [], "--"),
+            (["iso", "--", "a", "--"], "file2", [], "--"),
+            (["gen", "sym", "--", "--", "3"], "args", ["3"], ["--", "3"])]:
+        assert getattr(build_parser().parse_args(argv), field) == argparse_value
+        assert getattr(cli.parse_args(argv), field) == value
+    # argparse reads -hX as -h -X and refuses an argument attached to -h or
+    # --help, though -hh is -h -h; the reader knows no option -hX or -h=X and
+    # shows the help for --help=X
+    for argv, token in [(["-hh", "verify", "f"], "-hh"), (["simple", "f", "-hx"], "-hx"),
+                        (["verify", "f", "-h=x"], "-h=x")]:
+        assert reading(cli.parse_args, argv) == (
+            2, f"hypergroups: error: unrecognized arguments: {token}\n")
+    assert reading(argparse_parse, ["-hh", "verify", "f"])[0] == 0
+    assert reading(argparse_parse, ["simple", "f", "-hx"]) == (
+        2, "hypergroups simple: error: argument -h/--help: ignored explicit argument 'x'\n")
+    assert reading(cli.parse_args, ["iso", "--he=x"]) == (0, ["usage:", "hypergroups", "iso"])
+    assert reading(argparse_parse, ["iso", "--he=x"]) == (
+        2, "hypergroups iso: error: argument -h/--help: ignored explicit argument 'x'\n")
+    # argparse recurses through a cycle of @FILEs until RecursionError
+    (tmp_path / "self.args").write_text(f"@{tmp_path / 'self.args'}\n")
+    with pytest.raises(RecursionError):
+        build_parser().parse_args([f"@{tmp_path / 'self.args'}"])
+    with pytest.raises(ParseError, match="^@FILE arguments nest too deep$"):
+        cli.parse_args([f"@{tmp_path / 'self.args'}"])

@@ -276,12 +276,15 @@ def test_runtime_imports_only_the_standard_library():
     assert found == []
 
 
-def test_startup_loads_neither_dataclasses_nor_inspect():
-    # every invocation pays for what importing the command line loads;
-    # dataclasses alone brings in inspect, ast, dis and tokenize
+def test_startup_loads_no_dataclasses_inspect_or_argparse():
+    # every invocation pays for what importing the command line and reading
+    # a command line load; dataclasses alone brings in inspect, ast, dis and
+    # tokenize, and argparse brings in gettext, whose first parser loads locale
     src = pathlib.Path(hypergroups.__file__).resolve().parent.parent
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hypergroups.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hypergroups.cli as cli; "
+            "cli.main(['classify-s', '3', '3']); "
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} "
+            "& set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert out.stdout == '{"class":"DHypergroup","sizes":[3,3],"witness":null}\n[]\n'
