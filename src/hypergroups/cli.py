@@ -143,12 +143,24 @@ def _parse_partition(text: str, names: Sequence[str], noun: str = "blocks") -> t
     return block_labels(names, _read_blocks(text, set(names)), noun)
 
 
+def _count(text: str, name: str, low: int = 0) -> int:
+    """text read as a count of at least low: ASCII decimal digits alone, leading
+    zeros allowed, so no sign, '_', space or non-ASCII digit, and no more digits
+    than the interpreter converts (4300 by default)."""
+    try:
+        if text.isascii() and text.isdigit() and (k := int(text)) >= low:
+            return k
+    except ValueError:  # past the interpreter's digit limit
+        pass
+    raise ParseError(f"argument {name}: invalid count value: {text!r}")
+
+
 def _load_group(arg: str, cap: int) -> GroupTable:
     """sym:M, cyc:M, or a path to a univalent structure in JSON."""
     if arg.startswith("sym:"):
-        return symmetric_group(int(arg[4:]), cap)
+        return symmetric_group(_count(arg[4:], "group"), cap)
     if arg.startswith("cyc:"):
-        order = int(arg[4:])
+        order = _count(arg[4:], "group")
         check_group_order(order, cap)
         return cyclic_group(order)
     ms = _read_structure(arg)
@@ -161,7 +173,7 @@ def _load_group(arg: str, cap: int) -> GroupTable:
 def _load_subgroup(g: GroupTable, arg: str) -> Subgroup:
     """stab:P (permutation groups only) or an explicit list {names}."""
     if arg.startswith("stab:"):
-        return stabilizer_subgroup(g, int(arg[5:]))
+        return stabilizer_subgroup(g, _count(arg[5:], "subgroup"))
     index = {s: i for i, s in enumerate(g.names)}
     blocks = _read_blocks(arg, index)
     if len(blocks) != 1:
@@ -272,18 +284,18 @@ def _cmd_gen(args) -> int:
     if arity is not None and given != arity:
         raise ParseError(f"gen {kind} takes {arity} argument{'s' * (arity > 1)}, got {given}")
     if kind in ("sym", "cyc"):
-        k = int(args.args[0])
+        k = _count(args.args[0], "args")
         check_carrier_size(symmetric_group_order(k, args.cap_group) if kind == "sym" else k)
         m = as_hypergroup(_load_group(f"{kind}:{k}", args.cap_group))
     elif kind == "stab":
-        m = stabilizer_hypergroup(int(args.args[0]))
+        m = stabilizer_hypergroup(_count(args.args[0], "args"))
     elif kind == "coset":
         g = _load_group(args.args[0], args.cap_group)
         h = _load_subgroup(g, args.args[1])
         build = right_coset_hypergroup if args.side == "right" else left_coset_hypergroup
         m = build(g, h)
     elif kind == "s-family":
-        m = s_family([int(p) for p in args.args])
+        m = s_family([_count(p, "args") for p in args.args])
     elif kind == "utumi":
         g = _load_group(args.args[0], args.cap_group)
         base = as_hypergroup(g)
@@ -364,7 +376,7 @@ def _cmd_opposite(args) -> int:
 
 
 def _cmd_classify_s(args) -> int:
-    sizes = [int(p) for p in args.sizes]
+    sizes = [_count(p, "sizes") for p in args.sizes]
     cls = s_family_class(sizes)
     m = s_family(sizes)
     rep = verify_axioms(m)
@@ -403,8 +415,8 @@ def _cmd_trame(args) -> int:
 
 # verb: (handler, help line, positionals, options). A positional maps to its
 # choices or None, and a last one named with a trailing '+' takes one or more
-# arguments; an option, none a prefix of another, to its int default, its
-# choices (the first the default), or None for a string.
+# arguments; an option, none a prefix of another, to its choices (the first
+# the default), None for a string, or the int default of a cap, a count >= 1.
 _VERBS = {
     "gen": (_cmd_gen, "emit a structure as JSON", {"kind": tuple(_GEN_ARITY), "args+": None},
             {"--cap-group": DEFAULT_GROUP_CAP, "--cap-trame": DEFAULT_TRAME_CAP,
@@ -439,8 +451,8 @@ def _stop(verb: Optional[str], error: Optional[str] = None) -> NoReturn:
     if error is not None:
         sys.stderr.write(f"{usage}\nhypergroups{' ' + verb if verb else ''}: error: {error}\n")
         sys.exit(2)
-    print(usage, "", *(f"  {n:<13} {entry[1]}" for n, entry in _VERBS.items() if verb in (None, n)),
-          sep="\n")
+    lines = [f"  {n:<13} {entry[1]}" for n, entry in _VERBS.items() if verb in (None, n)]
+    sys.stdout.write("\n".join([usage, "", *lines, ""]))
     sys.exit(0)
 
 
@@ -449,9 +461,9 @@ def _checked(verb: Optional[str], name: str, spec, value: str):
         _stop(verb, f"argument {name}: invalid choice: {value!r} "
                     f"(choose from {', '.join(map(repr, spec))})")
     try:
-        return int(value) if isinstance(spec, int) else value
-    except ValueError:
-        _stop(verb, f"argument {name}: invalid int value: {value!r}")
+        return _count(value, name, 1) if isinstance(spec, int) else value
+    except ParseError as e:
+        _stop(verb, str(e))
 
 
 def _expand(argv: Sequence[str], inside: tuple = ()) -> Iterator[str]:
@@ -545,9 +557,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(argv)
         return args.fn(args)
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (CapExceeded, ValueError, OSError) as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 3 if isinstance(e, CapExceeded) else 2

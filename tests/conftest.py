@@ -2,6 +2,7 @@ import argparse
 import functools
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import settings
@@ -936,16 +937,24 @@ def small_hypergroup_corpus(sym3, klein):
 # --- the argparse parser the command line's own reader replaced ---------------
 
 
+def count(text: str) -> int:
+    """A cap as the command line reads it: ASCII decimal digits, at least 1.
+    Its name is the type argparse names in a refusal."""
+    if re.fullmatch("[0-9]+", text) and int(text) >= 1:
+        return int(text)
+    raise ValueError(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # one parent per cap, so each verb accepts only the caps it reads
     cap_n = argparse.ArgumentParser(add_help=False)
-    cap_n.add_argument("--cap-n", type=int, default=DEFAULT_SIMPLICITY_CAP,
+    cap_n.add_argument("--cap-n", type=count, default=DEFAULT_SIMPLICITY_CAP,
                        help="carrier cap for congruence search (default 12)")
     cap_group = argparse.ArgumentParser(add_help=False)
-    cap_group.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP,
+    cap_group.add_argument("--cap-group", type=count, default=DEFAULT_GROUP_CAP,
                            help="group order cap (default 120)")
     cap_trame = argparse.ArgumentParser(add_help=False)
-    cap_trame.add_argument("--cap-trame", type=int, default=DEFAULT_TRAME_CAP,
+    cap_trame.add_argument("--cap-trame", type=count, default=DEFAULT_TRAME_CAP,
                            help="trame carrier cap (default 65536)")
 
     # @FILE reads further arguments from FILE, one a line

@@ -9,6 +9,7 @@ or lower, so nothing large is built.
 
 import contextlib
 import io
+import itertools
 import json
 import re
 
@@ -340,6 +341,46 @@ def test_at_file_that_is_not_utf8_is_malformed_input(tmp_path, capsys):
     assert cli.main([f"@{args}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: 'utf-8' codec can't decode")
+
+
+# --- counts: every integer on the command line is read by one reader ----------
+
+DIGITS_5000 = "1" * 5000  # past the interpreter's default limit on int() digits
+
+
+def test_bad_counts_name_their_argument(capsys):
+    # a cap is a count of at least 1, refused as a usage error; a positional
+    # count, or one after sym:, cyc: or stab:, is refused with one error
+    # line naming the argument, and the library refuses the counts below 1
+    caps = [(verb, option) for verb, (_, _, _, options) in cli._VERBS.items()
+            for option, spec in options.items() if isinstance(spec, int)]
+    assert len(caps) == 6
+    for (verb, option), value in itertools.product(
+            caps, ["0", "-1", "x", "+3", "1_0", " 12", "\u0663", "\uff13", DIGITS_5000]):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([verb, option, value])
+        assert stop.value.code == 2
+        out, err = capsys.readouterr()
+        usage, error = err.splitlines()
+        assert out == "" and usage.startswith(f"usage: hypergroups {verb} [-h] ")
+        assert error == f"hypergroups {verb}: error: argument {option}: invalid count value: " \
+                        f"{value!r}", (verb, option, value[:8])
+    counts = [(["gen", "sym", "#"], "args"), (["gen", "cyc", "#"], "args"),
+              (["gen", "stab", "#"], "args"), (["gen", "s-family", "2", "#"], "args"),
+              (["classify-s", "#", "3"], "sizes"), (["gen", "coset", "sym:#", "{0}"], "group"),
+              (["simple-coset", "cyc:#", "{0}"], "group"),
+              (["simple-coset", "sym:3", "stab:#"], "subgroup")]
+    for (argv, name), value in itertools.product(
+            counts, ["x", "+3", "1_0", "\u0663", DIGITS_5000]):
+        argv = [t.replace("#", value) for t in argv]
+        assert cli.main(argv) == 2, argv[:3]
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: argument {name}: invalid count value: {value!r}\n")
+    for argv in (["gen", "cyc", "0"], ["gen", "s-family", "0"], ["simple-coset", "sym:0", "{0}"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.endswith(" >= 1\n"), argv
+    assert cli.main(["gen", "cyc", "007"]) == 0
+    assert capsys.readouterr().out == to_json(as_hypergroup(cyclic_group(7))) + "\n"
 
 
 # --- the command-line reader against the argparse parser it replaced ----------

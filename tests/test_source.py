@@ -154,6 +154,14 @@ def test_blocks_become_labels_only_in_block_labels():
         "block_labels": ["cli._parse_partition", "core.from_blocks"]}
 
 
+def test_command_line_counts_are_read_only_in_count():
+    # one reader decides what a count is: int( is written in cli once,
+    # inside _count, so every integer the command line holds goes through it
+    text = (pathlib.Path(hypergroups.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    reader = re.search(r"^def _count\(.*?(?=^\S)", text, re.M | re.S)[0]
+    assert re.findall(r"\bint\(", text) == re.findall(r"\bint\(", reader) == ["int("]
+
+
 def test_tracer_wrapped_names_exist():
     # the traced benchmark replay patches every WRAPPED name with getattr,
     # so a name that no longer exists crashes it
