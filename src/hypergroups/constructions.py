@@ -76,6 +76,8 @@ def stabilizer_hypergroup(alpha: int) -> Hypergroup:
     """s_family((alpha,)), the coset space of S_alpha over a point stabilizer
     H: for y not in H, HyH is every permutation that moves the point, so
     x.y = K minus {x}, and e is right-neutral; x.x.x is K once alpha >= 3."""
+    if alpha < 1:
+        raise ValueError("degree must be >= 1")
     m = s_family((alpha,))
     return Hypergroup._proved(m.names, m.table)
 

@@ -12,7 +12,7 @@ subgroup-side decider for coset structures.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from operator import or_
 from typing import Iterator
 
@@ -82,13 +82,13 @@ def quotient_by(h: Hypergroup, c: ReflectorCongruence) -> Hypergroup:
 
 def _node_ok(i, k, labels, cmask, rowsum, colsum, table, live, nextrow, nextcol):
     """Whether labels[0..i], in k classes, may still extend to a reflector
-    congruence: the six req/pos inclusions at the pairs of live[i], ...,
-    live[0]. One class or only singletons pass untested: a prefix of the
-    total or identity relation, reflector congruences of any hypergroup.
-    live leaves out each x.y that is the carrier: s2 = s3 = the carrier
-    and s1req ⊆ carrier ⊆ s1pos, so all six inclusions hold. No product
-    of a hypergroup is empty, so one inside the labelled elements has
-    s1pos = s1req | free."""
+    congruence: at each pair of live[i], ..., live[0], every req lies in
+    every pos, one test as each req lies in its own pos: the union of the
+    reqs inside the meet of the pos. One class or only singletons pass
+    untested: a prefix of the total or identity relation, reflector
+    congruences of any hypergroup. live leaves out each x.y that is the
+    carrier, where every pos is the carrier. No product of a hypergroup is
+    empty, so one inside the labelled elements has s1pos = s1req | free."""
     if k == 1 or k == i + 1:
         return True
     pm = (2 << i) - 1  # the labelled elements
@@ -107,19 +107,16 @@ def _node_ok(i, k, labels, cmask, rowsum, colsum, table, live, nextrow, nextcol)
             sat[ep] = s1req
         s1pos = -1 if e & free else s1req | free
         s2req = rowsum[labels[y]][x]
-        s2pos = s2req | nextrow[x]
         s3req = colsum[labels[x]][y]
-        s3pos = s3req | nextcol[y]
-        if (s2req & ~s1pos or s3req & ~s1pos
-                or s1req & ~s2pos or s1req & ~s3pos
-                or s2req & ~s3pos or s3req & ~s2pos):
+        if (s1req | s2req | s3req) & ~(s1pos & (s2req | nextrow[x]) & (s3req | nextcol[y])):
             return False
     return True
 
 
-def congruence_search(h: Hypergroup,
-                      cap: int = DEFAULT_SIMPLICITY_CAP) -> Iterator[ReflectorCongruence]:
-    """All reflector congruences, in restricted-growth-string order.
+def congruence_search(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP
+                      ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All reflector congruences as (class_of, class_masks) tuple pairs, in
+    restricted-growth-string order.
 
     Backtracking over class labels for elements 0..n-1. At a node with
     elements 0..i labeled, each pair (x, y) of labeled elements yields
@@ -143,19 +140,23 @@ def congruence_search(h: Hypergroup,
     those involving i - 1, and so on. Two skips cannot change a verdict:
     a pair whose product is the whole carrier is never tested, as it
     passes every inclusion, and a node labelled as a prefix of the total
-    or identity relation passes untested, as both are congruences.
+    or identity relation passes untested, as both are congruences. On a
+    table equal to its transpose the test at (y, x) is the one at (x, y)
+    with its row and column unions swapped, so only (x, y <= x) is tested.
 
     The search is a generator that yields the leaves in that fixed order;
     the caller stops it, and no node past the last leaf taken is tested.
+    Leaves are tuples, not objects, as most callers only count them.
     """
     n = h.n
     if n > cap:
         raise CapExceeded(f"carrier size {n} exceeds simplicity cap {cap}")
     table, full = h.table, h.full_mask
     cols = list(zip(*table))
-    # live[j]: the pairs (j, y <= j), then (x < j, j), whose product is not the carrier
+    # live[j]: the pairs (j, y <= j), then (x < j, j) unless mirrored, whose x.y is not the carrier
+    mirrored = table == tuple(cols)
     live = [[(j, y) for y in range(j + 1) if table[j][y] != full]
-            + [(x, j) for x in range(j) if cols[j][x] != full] for j in range(n)]
+            + [(x, j) for x in range(j) if not mirrored and cols[j][x] != full] for j in range(n)]
     # nextrow[j][x]: the union of x.y over y >= j; nextcol[j][y]: of x.y over x >= j
     nextrow = [[0] * n]
     nextcol = [[0] * n]
@@ -172,11 +173,10 @@ def congruence_search(h: Hypergroup,
     rowsum = [list(cols[0])] + [[0] * n] * (n - 1)
     colsum = [list(table[0])] + [[0] * n] * (n - 1)
 
-    def rec(i: int, top: int) -> Iterator[ReflectorCongruence]:
+    def rec(i: int, top: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         if i == n:
             # labels are in restricted-growth order; cmask[:top] are the classes
-            eq = EquivalenceRelation._proved(tuple(labels), tuple(cmask[:top]))
-            yield ReflectorCongruence._proved(h, eq)
+            yield tuple(labels), tuple(cmask[:top])
             return
         bit, row, col = 1 << i, table[i], cols[i]
         for lab in range(top + 1):
@@ -198,8 +198,9 @@ def congruence_search(h: Hypergroup,
 
 def reflector_congruences(h: Hypergroup,
                           cap: int = DEFAULT_SIMPLICITY_CAP) -> list[ReflectorCongruence]:
-    """congruence_search as a list: reflets quotients by each, perfbench's tracer takes its len."""
-    return list(congruence_search(h, cap))
+    """congruence_search's leaves as objects: reflets quotients by each, perfbench counts them."""
+    return [ReflectorCongruence._proved(h, EquivalenceRelation._proved(*leaf))
+            for leaf in congruence_search(h, cap)]
 
 
 def reflets(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP) -> list[Hypergroup]:
@@ -230,12 +231,9 @@ def is_simple(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP) -> bool:
 
 def bell_number(n: int) -> int:
     """Number of partitions of an n-set."""
-    row = [1]
+    row = [1]  # a row of Bell's triangle, which starts with B(k)
     for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
+        row = list(accumulate(row, initial=row[-1]))
     return row[0]
 
 
@@ -262,10 +260,10 @@ def simplicity_report(h: Hypergroup,
     so the count is exact, but only one congruence is held at a time.
     """
     count, witness = 0, None
-    for c in congruence_search(h, cap):
+    for labels, masks in congruence_search(h, cap):
         count += 1
-        if witness is None and 1 < c.eq.k < h.n:
-            witness = c.eq
+        if witness is None and 1 < len(masks) < h.n:
+            witness = EquivalenceRelation._proved(labels, masks)
     return SimplicityReport(count == 2, count, bell_number(h.n), witness)
 
 

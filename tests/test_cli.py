@@ -653,6 +653,14 @@ def test_gen_argument_count(capsys):
     assert json.loads(capsys.readouterr().out)["elements"][0] == "e"
 
 
+def test_gen_stab_refuses_degree_zero(capsys):
+    # the degree alpha of S_alpha, refused in the words gen sym uses
+    import hypergroups.cli as cli
+    assert cli.main(["gen", "stab", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: degree must be >= 1\n"
+
+
 def test_deeply_nested_json_is_malformed_input(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000)

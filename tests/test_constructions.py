@@ -212,7 +212,7 @@ def test_stabilizer_hypergroup_small():
     two = stabilizer_hypergroup(2)
     assert is_group(two)
     assert two.table == ((0b01, 0b10), (0b10, 0b01))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^degree must be >= 1$"):
         stabilizer_hypergroup(0)
 
 

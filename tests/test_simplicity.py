@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from functools import reduce
 from itertools import combinations, islice, product
+from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -158,7 +159,7 @@ def test_enumeration_order_frozen(z4h, z8h):
 
 def test_enumeration_limit_stops_early(z8h):
     first = list(islice(congruence_search(z8h, DEFAULT_SIMPLICITY_CAP), 1))
-    assert len(first) == 1 and first[0].eq.k == 1
+    assert first == [((0,) * 8, (255,))]  # the total relation: one class
     assert len(list(islice(congruence_search(z8h, DEFAULT_SIMPLICITY_CAP), 3))) == 3
     assert len(reflector_congruences(z8h)) == 4
 
@@ -193,8 +194,10 @@ def with_node_count(search, *args, **kwargs):
 
 def assert_same_search(h, limit):
     found, nodes = with_node_count(lambda: list(islice(congruence_search(h, h.n), limit)))
-    assert ([c.eq.class_of for c in found], nodes) == naive_congruence_search(h, limit), \
+    assert ([labels for labels, _ in found], nodes) == naive_congruence_search(h, limit), \
         (h.names, limit)
+    for labels, masks in found:  # each leaf as EquivalenceRelation would build it
+        assert masks == EquivalenceRelation(labels).class_masks, (h.names, labels)
 
 
 INFLATION_BASES = [as_hypergroup(cyclic_group(k)) for k in (1, 2, 3, 4)] + [
@@ -340,6 +343,34 @@ def test_node_verdicts_match_all_pairs():
 def test_node_verdicts_match_all_pairs_on_random_hypergroups(m):
     assume(verify_axioms(m).is_hypergroup)
     with_checked_nodes(Hypergroup.certify(m))
+
+
+@st.composite
+def mirrored_hypergroup_tables(draw):
+    """small_hypergroup_tables made equal to their transpose: x.y becomes
+    x.y | y.x; the search tests only the pairs (x, y <= x) on these."""
+    m = draw(small_hypergroup_tables())
+    rows = tuple(tuple(map(or_, row, col)) for row, col in zip(m.table, zip(*m.table)))
+    return Multistructure(m.names, rows)
+
+
+@settings(max_examples=150)
+@given(mirrored_hypergroup_tables(), st.sampled_from([None, 1, 3]))
+def test_congruence_search_on_random_mirrored_hypergroups(m, limit):
+    assume(verify_axioms(m).is_hypergroup)
+    h = Hypergroup.certify(m)
+    assert_same_search(h, limit)
+    with_checked_nodes(h)
+
+
+def test_only_an_exact_mirror_skips_pairs():
+    # the table and its transpose differ only at a.c and c.a; testing
+    # only the pairs (x, y <= x) here keeps (0, 0, 1), no congruence
+    h = Hypergroup.certify(Multistructure(tuple("abc"), ((5, 7, 3), (7, 7, 7), (7, 7, 7))))
+    assert opposite(h.m).table != h.table
+    assert [labels for labels, _ in congruence_search(h, 3)] == [(0, 0, 0), (0, 1, 2)]
+    assert_same_search(h, None)
+    with_checked_nodes(h)
 
 
 def test_quotient_by_matches_all_triples():
@@ -575,6 +606,26 @@ def test_simplicity_report_matches_naive_sweep(small_hypergroup_corpus, z8h, utu
     assert witnesses == 3  # C4, the Klein group and C8
     with pytest.raises(CapExceeded):
         simplicity_report(z8h, cap=7)
+
+
+def test_simplicity_report_witness_matches_reflector_congruences(small_hypergroup_corpus,
+                                                                utumi_z8, dih12):
+    # the report counts the search's tuples and builds its witness from one;
+    # both match what reflector_congruences reads, the witness rebuilt checked
+    witnesses = 0
+    for h in small_hypergroup_corpus + [utumi_z8, as_hypergroup(dih12)]:
+        found = reflector_congruences(h)
+        proper = [c.eq for c in found if 1 < c.eq.k < h.n]
+        rep = simplicity_report(h)
+        assert rep.invariant_count == len(found)
+        if proper:
+            eq = EquivalenceRelation(rep.witness.class_of)
+            assert (eq.class_of, eq.class_masks) == (proper[0].class_of, proper[0].class_masks)
+            assert (rep.witness.class_of, rep.witness.class_masks) == (eq.class_of, eq.class_masks)
+            witnesses += 1
+        else:
+            assert rep.witness is None
+    assert witnesses == 3  # C4, the Klein group and D12
 
 
 def test_simplicity_report_holds_one_congruence_at_a_time():
