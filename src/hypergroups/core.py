@@ -414,7 +414,9 @@ def find_isomorphism(a: Multistructure, b: Multistructure) -> Optional[tuple[int
                 if consistent(k, dom, cod | bit[k]):
                     yield from assign(k + 1, dom, cod | bit[k])
 
-    return next(assign(0, 0, 0), None)
+    found = next(assign(0, 0, 0), None)
+    del assign  # assign names itself: a cycle that would hold g, bit and both tables
+    return found
 
 
 def restricted_growth(labels: Iterable) -> tuple[int, ...]:

@@ -193,12 +193,15 @@ def congruence_search(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP
             rowsum[lab], colsum[lab] = rs, cs
             cmask[lab] ^= bit
 
-    yield from rec(1, 1)
+    try:
+        yield from rec(1, 1)
+    finally:
+        del rec  # rec names itself: a cycle that would hold the state above
 
 
 def reflector_congruences(h: Hypergroup,
                           cap: int = DEFAULT_SIMPLICITY_CAP) -> list[ReflectorCongruence]:
-    """congruence_search's leaves as objects: reflets quotients by each, perfbench counts them."""
+    """congruence_search's leaves as objects, for the tests and perfbench's count."""
     return [ReflectorCongruence._proved(h, EquivalenceRelation._proved(*leaf))
             for leaf in congruence_search(h, cap)]
 
@@ -210,7 +213,8 @@ def reflets(h: Hypergroup, cap: int = DEFAULT_SIMPLICITY_CAP) -> list[Hypergroup
     masks (a canonical tiebreak independent of names).
     """
     kept: list[Hypergroup] = []
-    for q in (quotient_by(h, c) for c in reflector_congruences(h, cap)):
+    for q in (quotient_by(h, ReflectorCongruence._proved(h, EquivalenceRelation._proved(*leaf)))
+              for leaf in congruence_search(h, cap)):
         if all(find_isomorphism(q, other) is None for other in kept):
             kept.append(q)
     kept.sort(key=lambda q: (q.n, q.table))

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -351,6 +352,29 @@ def test_trame_invariant(files):
     assert total.returncode == 0 and total.stdout == '{"invariant":true}\n'
     missing = run_cli("trame", "invariant", files["sym3.trame"])
     assert missing.returncode == 2 and "--s" in missing.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["reflets", "cyc8.json"], id="reflets"),
+    pytest.param(["simple", "cyc8.json"], id="simple"),
+    pytest.param(["iso", "coset.json", "stab3.json"], id="iso"),
+    pytest.param(["simple-coset", "sym:5", "stab:0"], id="simple-coset"),
+    pytest.param(["gen", "coset", "sym:4", "stab:0", "--side", "left"], id="gen-coset"),
+    pytest.param(["gen", "utumi", "cyc:8", "{0}|{1,4,7}|{2,3,5,6}", "0"], id="gen-utumi"),
+    pytest.param(["gen", "canon", "cyc4.json"], id="gen-canon"),
+    pytest.param(["trame", "quotient", "b.trame"], id="trame-quotient"),
+    pytest.param(["trame", "adequate", "a.trame"], id="trame-adequate"),
+    pytest.param(["trame", "invariant", "sym3.trame", "--s", "{012,021}|{102,120,201,210}"],
+                 id="trame-invariant"),
+])
+def test_verbs_print_the_same_bytes_under_two_hash_seeds(files, argv):
+    # stdout is byte-deterministic: no set or dict order that the hash seed
+    # moves reaches it, and neither does the exit code
+    argv = [files.get(arg, arg) for arg in argv]
+    runs = [subprocess.run([sys.executable, "-m", "hypergroups", *argv], capture_output=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed}) for seed in ("0", "1")]
+    assert runs[0].stdout and runs[0].returncode in (0, 1), runs[0].stderr
+    assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
 
 
 def test_trame_invariant_above_64_classes(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from functools import reduce
@@ -640,6 +641,50 @@ def test_simplicity_report_holds_one_congruence_at_a_time():
         tracemalloc.stop()
     assert (rep.invariant_count, rep.witness.class_of) == (4140, (0,) * 7 + (1,))
     assert peak < 64 * 1024, peak
+
+
+def test_reflets_holds_one_congruence_at_a_time(monkeypatch):
+    # reflets quotients by each congruence as the search yields it: of the
+    # Bell(6) = 203 congruences of the total table on 6, one is alive at a
+    # time, counted from the trusted constructor to the finaliser
+    made = alive = peak = 0
+
+    class Counted(ReflectorCongruence):
+        __slots__ = ()
+
+        @classmethod
+        def _proved(cls, *values):
+            nonlocal made, alive, peak
+            made, alive = made + 1, alive + 1
+            peak = max(peak, alive)
+            return super()._proved(*values)
+
+        def __del__(self):
+            nonlocal alive
+            alive -= 1
+
+    monkeypatch.setattr(simplicity, "ReflectorCongruence", Counted)
+    assert [q.n for q in reflets(total_hypergroup(6))] == [1, 2, 3, 4, 5, 6]
+    assert (made, peak, alive) == (203, 1, 0)
+
+
+def test_searches_leave_no_reference_cycle():
+    # each search recurses through a closure that names itself; once the
+    # search ends, run to the end or stopped early, nothing it built waits
+    # for the cyclic collector
+    h = as_hypergroup(cyclic_group(12))
+    searches = [lambda: find_isomorphism(h, h), lambda: list(congruence_search(h)),
+                lambda: is_simple(h), lambda: reflets(h)]
+    gc.collect()
+    gc.disable()
+    try:
+        garbage = []
+        for search in searches:
+            search()
+            garbage.append(gc.collect())
+    finally:
+        gc.enable()
+    assert garbage == [0] * len(searches)
 
 
 def test_bell_numbers():

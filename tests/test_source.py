@@ -154,6 +154,13 @@ def test_blocks_become_labels_only_in_block_labels():
         "block_labels": ["cli._parse_partition", "core.from_blocks"]}
 
 
+def test_no_function_lists_the_reflector_congruences():
+    # every verb reads congruence_search one leaf at a time, reflets too;
+    # the list reflector_congruences builds is read only by the tests and
+    # the traced benchmark replay
+    assert call_sites({"reflector_congruences"}) == {}
+
+
 def test_command_line_counts_are_read_only_in_count():
     # one reader decides what a count is: int( is written in cli once,
     # inside _count, so every integer the command line holds goes through it
@@ -238,7 +245,8 @@ def test_names_reached_only_through_the_tracer():
     assert sorted(only_wrapped) == ["constructions.s_family_group_realization",
                                     "constructions.utumi_is_associative",
                                     "core.is_reflector",
-                                    "simplicity.invariant_modulo_subgroups"]
+                                    "simplicity.invariant_modulo_subgroups",
+                                    "simplicity.reflector_congruences"]
 
 
 def test_modules_import_only_the_layers_below():
