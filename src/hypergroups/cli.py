@@ -2,15 +2,16 @@
 
 Verbs: gen, verify, simple, simple-coset, reflets, iso, opposite,
 classify-s, trame. Structures travel as canonical JSON on stdout; all
-diagnostics go to stderr. Exit codes: 0 computed (or positive verdict),
-1 negative verdict from a predicate verb, 2 malformed input, 3 a size
-cap was exceeded.
+diagnostics go to stderr. Each verb returns its line and its verdict, and
+main alone writes the line and maps the verdict and any error to the exit
+code: 0 computed (or positive verdict), 1 negative verdict from a predicate
+verb, 2 malformed input, 3 a size cap was exceeded.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
 import re
 import sys
 from types import SimpleNamespace
@@ -35,7 +36,6 @@ from .core import (
 )
 from .groups import (
     DEFAULT_GROUP_CAP,
-    GroupError,
     GroupTable,
     Subgroup,
     as_hypergroup,
@@ -70,10 +70,6 @@ from .simplicity import (
     reflets,
     simplicity_report,
 )
-
-
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def _read_structure(path: str) -> Multistructure:
@@ -165,7 +161,7 @@ def _load_group(arg: str, cap: int) -> GroupTable:
         return cyclic_group(order)
     ms = _read_structure(arg)
     if not is_group(ms):
-        raise GroupError("range", "file structure is not univalent")
+        raise ParseError("group file is not univalent: some product is not one element")
     check_group_order(ms.n, cap)
     return verify_group([[e.bit_length() - 1 for e in row] for row in ms.table], ms.names)
 
@@ -279,7 +275,7 @@ def _read_trame(path: str) -> tuple[Trame, tuple[int, ...]]:
 _GEN_ARITY = {"sym": 1, "cyc": 1, "coset": 2, "stab": 1, "s-family": None, "utumi": 3, "canon": 1}
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[object, bool]:
     kind, arity, given = args.kind, _GEN_ARITY[args.kind], len(args.args)
     if arity is not None and given != arity:
         raise ParseError(f"gen {kind} takes {arity} argument{'s' * (arity > 1)}, got {given}")
@@ -306,15 +302,14 @@ def _cmd_gen(args) -> int:
         m = utumi(UtumiInput(base, part, g.names.index(zname)))
     else:  # canon
         m = quotient(canonical_presentation(_read_structure(args.args[0]), args.cap_trame))
-    sys.stdout.write(to_json(m) + "\n")
-    return 0
+    return to_json(m), True
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[object, bool]:
     m = _read_structure(args.file)
     rep = verify_axioms(m)
     nm = m.names
-    _emit({
+    return {
         "is_hypergroup": rep.is_hypergroup,
         "associative": rep.associative,
         "reproductive": rep.reproductive,
@@ -322,95 +317,84 @@ def _cmd_verify(args) -> int:
         "assoc_witness": [nm[i] for i in rep.assoc_witness] if rep.assoc_witness else None,
         "repro_witness": nm[rep.repro_witness] if rep.repro_witness is not None else None,
         "empty_witness": [nm[i] for i in rep.empty_witness] if rep.empty_witness else None,
-    })
-    return 0 if rep.is_hypergroup else 1
+    }, rep.is_hypergroup
 
 
-def _cmd_simple(args) -> int:
+def _cmd_simple(args) -> tuple[object, bool]:
     h = _read_hypergroup(args.file, args.cap_n)
     rep = simplicity_report(h, args.cap_n)
-    _emit({
+    return {
         "simple": rep.simple,
         "n": h.n,
         "partition_space": rep.checked,
         "congruences": rep.invariant_count,
         "witness": ([[h.names[i] for i in block] for block in rep.witness.blocks()]
                     if rep.witness is not None else None),
-    })
-    return 0 if rep else 1
+    }, rep.simple
 
 
-def _cmd_simple_coset(args) -> int:
+def _cmd_simple_coset(args) -> tuple[object, bool]:
     g = _load_group(args.group, args.cap_group)
     rep = coset_simplicity_report(g, _load_subgroup(g, args.subgroup), args.cap_group)
-    _emit({
+    return {
         "simple": rep.simple,
         "subgroups_invariant": rep.invariant_count,
         "witness": ([g.names[i] for i in members(rep.witness.mask)]
                     if rep.witness is not None else None),
-    })
-    return 0 if rep else 1
+    }, rep.simple
 
 
-def _cmd_reflets(args) -> int:
+def _cmd_reflets(args) -> tuple[object, bool]:
     rs = reflets(_read_hypergroup(args.file, args.cap_n), args.cap_n)
-    sys.stdout.write('{"count":%d,"reflets":[%s]}\n' % (len(rs), ",".join(map(to_json, rs))))
-    return 0
+    return '{"count":%d,"reflets":[%s]}' % (len(rs), ",".join(map(to_json, rs))), True
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args) -> tuple[object, bool]:
     a = _read_structure(args.file1)
     b = _read_structure(args.file2)
     g = find_isomorphism(a, b)
-    _emit({
+    return {
         "isomorphic": g is not None,
         "bijection": [b.names[v] for v in g] if g is not None else None,
-    })
-    return 0 if g is not None else 1
+    }, g is not None
 
 
-def _cmd_opposite(args) -> int:
-    m = _read_structure(args.file)
-    sys.stdout.write(to_json(opposite(m)) + "\n")
-    return 0
+def _cmd_opposite(args) -> tuple[object, bool]:
+    return to_json(opposite(_read_structure(args.file))), True
 
 
-def _cmd_classify_s(args) -> int:
+def _cmd_classify_s(args) -> tuple[object, bool]:
     sizes = [_count(p, "sizes") for p in args.sizes]
     cls = s_family_class(sizes)
     m = s_family(sizes)
     rep = verify_axioms(m)
     witness = rep.empty_witness or rep.assoc_witness
-    _emit({"class": cls.name, "sizes": sizes,
-           "witness": [m.names[i] for i in witness] if witness else None})
-    return 0
+    return {"class": cls.name, "sizes": sizes,
+            "witness": [m.names[i] for i in witness] if witness else None}, True
 
 
-def _cmd_trame(args) -> int:
+def _cmd_trame(args) -> tuple[object, bool]:
     t, r = _read_trame(args.file)
     if t.t_n > args.cap_trame:
         raise CapExceeded(f"trame size {t.t_n} exceeds cap {args.cap_trame}")
     p = Presentation(t, r)
     if args.action == "quotient":
-        sys.stdout.write(to_json(quotient(p)) + "\n")
-        return 0
+        return to_json(quotient(p)), True
     if args.action == "adequate":
         rep = is_adequate(p)
         names = quotient(p).names
-        _emit({
+        return {
             "adequate": bool(rep),
             "reproductive": rep.reproductive,
             "associative": rep.associative,
             "repro_witness": [names[i] for i in rep.repro_witness] if rep.repro_witness else None,
             "assoc_witness": [names[i] for i in rep.assoc_witness] if rep.assoc_witness else None,
-        })
-        return 0 if rep else 1
+        }, bool(rep)
     # args.action == "invariant", the last of its choices
     if args.s is None:
         raise ParseError("trame invariant needs --s CLASSES")
     ok = is_invariant_modulo_equiv(t, r, _parse_partition(args.s, t.names))
-    _emit({"invariant": ok})
-    return 0 if ok else 1
+    return {"invariant": ok}, ok
 
 
 # verb: (handler, help line, positionals, options). A positional maps to its
@@ -466,20 +450,22 @@ def _checked(verb: Optional[str], name: str, spec, value: str):
         _stop(verb, str(e))
 
 
-def _expand(argv: Sequence[str], inside: tuple = ()) -> Iterator[str]:
-    """argv with each @FILE replaced by its lines, expanded in turn to 100 files deep."""
+def _expand(argv: Sequence[str], reads: Iterator[int]) -> Iterator[str]:
+    """argv with each @FILE replaced by its lines, expanded in turn. reads counts
+    the @FILEs of one command line, and the 101st is refused: a cycle, a chain
+    or a tree of files stops there alike."""
     for arg in argv:
         if not arg.startswith("@"):
             yield arg
             continue
+        if next(reads) == 100:
+            raise ParseError("more than 100 @FILE arguments")
         try:
             with open(arg[1:], encoding="utf-8") as fh:
-                key, lines = os.fstat(fh.fileno())[1:3], fh.read().splitlines()  # inode, device
+                lines = fh.read().splitlines()
         except OSError as e:
             _stop(None, str(e))
-        if key in inside or len(inside) == 100:
-            raise ParseError("@FILE arguments nest too deep")
-        yield from _expand(lines, (*inside, key))
+        yield from _expand(lines, reads)
 
 
 def _read(token: str, names: Sequence[str], verb: Optional[str]):
@@ -539,7 +525,7 @@ def _parse_verb(verb: str, tokens: list[str]) -> tuple[SimpleNamespace, list[str
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
     """argv (sys.argv[1:] by default) read against _VERBS as argparse read it."""
-    tokens = list(_expand(sys.argv[1:] if argv is None else argv))
+    tokens = list(_expand(sys.argv[1:] if argv is None else argv, itertools.count()))
     for i, t in enumerate(tokens + ["--"]):  # before the verb: -h, or unknown options
         if t == "--" or not (r := _read(t, ("-h", "--help"), None)):
             break
@@ -556,7 +542,10 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(argv)
-        return args.fn(args)
+        out, verdict = args.fn(args)
+        sys.stdout.write((out if isinstance(out, str) else json.dumps(out, separators=(",", ":")))
+                         + "\n")
+        return 0 if verdict else 1
     except (CapExceeded, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 3 if isinstance(e, CapExceeded) else 2

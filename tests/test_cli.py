@@ -375,6 +375,23 @@ def test_verbs_print_the_same_bytes_under_two_hash_seeds(files, argv):
                            env={**os.environ, "PYTHONHASHSEED": seed}) for seed in ("0", "1")]
     assert runs[0].stdout and runs[0].returncode in (0, 1), runs[0].stderr
     assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
+    # a predicate verb exits 1 exactly when its printed verdict is false;
+    # every other verb exits 0
+    verdict = {"simple": "simple", "iso": "isomorphic", "simple-coset": "simple",
+               "adequate": "adequate", "invariant": "invariant"}.get(argv[argv[0] == "trame"])
+    negative = verdict is not None and not json.loads(runs[0].stdout)[verdict]
+    assert runs[0].returncode == (1 if negative else 0)
+
+
+def test_at_file_tree_is_refused_at_once(tmp_path):
+    # 22 levels of files, each naming the next twice, would expand to 2^22
+    # arguments; the reader stops at the 101st file it reads
+    for k in range(22):
+        (tmp_path / f"{k}.args").write_text(f"@{tmp_path / f'{k + 1}.args'}\n" * 2)
+    (tmp_path / "22.args").write_text("3\n")
+    r = subprocess.run([sys.executable, "-m", "hypergroups", "classify-s",
+                        f"@{tmp_path / '0.args'}"], capture_output=True, text=True, timeout=10)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: more than 100 @FILE arguments\n")
 
 
 def test_trame_invariant_above_64_classes(tmp_path):
@@ -646,8 +663,12 @@ def test_input_error_exit_codes(files, tmp_path):
     trash.write_text("{not json")
     r = run_cli("verify", str(trash))
     assert r.returncode == 2 and "invalid JSON" in r.stderr
-    r = run_cli("gen", "coset", files["stab3.json"], "stab:0")
-    assert r.returncode == 2 and "univalent" in r.stderr
+    for argv in [("gen", "coset", files["stab3.json"], "stab:0"),
+                 ("gen", "utumi", files["stab3.json"], "{e}|{y1,y2}", "e"),
+                 ("simple-coset", files["stab3.json"], "{e}")]:
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: group file is not univalent: some product is not one element\n"), argv
     r = run_cli("simple-coset", "sym:3", "{012,042}")
     assert r.returncode == 2 and "unknown group element" in r.stderr
     r = run_cli("simple-coset", "sym:3", "{a}|{b}")

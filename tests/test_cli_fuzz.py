@@ -300,8 +300,8 @@ def test_wide_carrier_is_refused_before_its_rows():
 @pytest.mark.parametrize("files", [{"self.args": "@self.args"},
                                    {"a.args": "verify\n@b.args", "b.args": "@a.args"}])
 def test_at_file_that_names_itself_is_malformed_input(tmp_path, monkeypatch, capsys, files):
-    # the reader tracks the @FILEs it is inside, so a cycle of files is a
-    # malformed command line, refused before it recurses
+    # the reader counts the @FILEs it reads, so a cycle of files is a
+    # malformed command line, refused at the 101st file
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text + "\n")
@@ -324,7 +324,7 @@ def test_at_file_named_twice_is_read_twice(tmp_path, capsys):
 
 
 def test_at_file_chain_past_100_files_is_malformed_input(tmp_path, capsys):
-    # a chain of distinct files is refused at a fixed depth, long before
+    # a chain of distinct files is refused at its 101st file, long before
     # the interpreter's recursion limit
     for k in range(100):
         (tmp_path / f"{k}.args").write_text(f"@{tmp_path / f'{k + 1}.args'}\n")
@@ -332,7 +332,7 @@ def test_at_file_chain_past_100_files_is_malformed_input(tmp_path, capsys):
     assert cli.main([f"@{tmp_path / '1.args'}"]) == 0
     assert cli.main([f"@{tmp_path / '0.args'}"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: @FILE arguments nest too deep\n"
+    assert captured.err == "error: more than 100 @FILE arguments\n"
 
 
 def test_at_file_that_is_not_utf8_is_malformed_input(tmp_path, capsys):
@@ -516,5 +516,13 @@ def test_reader_departs_from_argparse_only_where_named(tmp_path):
     (tmp_path / "self.args").write_text(f"@{tmp_path / 'self.args'}\n")
     with pytest.raises(RecursionError):
         build_parser().parse_args([f"@{tmp_path / 'self.args'}"])
-    with pytest.raises(ParseError, match="^@FILE arguments nest too deep$"):
+    with pytest.raises(ParseError, match="^more than 100 @FILE arguments$"):
         cli.parse_args([f"@{tmp_path / 'self.args'}"])
+    # argparse expands any number of @FILEs; the reader reads 100 in all,
+    # side by side or nested
+    (tmp_path / "3.args").write_text("3\n")
+    argv = ["classify-s", *[f"@{tmp_path / '3.args'}"] * 100]
+    assert cli.parse_args(argv).sizes == argparse_parse(argv).sizes == ["3"] * 100
+    assert argparse_parse(argv + argv[1:2]).sizes == ["3"] * 101
+    with pytest.raises(ParseError, match="^more than 100 @FILE arguments$"):
+        cli.parse_args(argv + argv[1:2])

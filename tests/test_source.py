@@ -169,6 +169,22 @@ def test_command_line_counts_are_read_only_in_count():
     assert re.findall(r"\bint\(", text) == re.findall(r"\bint\(", reader) == ["int("]
 
 
+def test_verbs_write_nothing_and_return_their_line_and_verdict():
+    # one output path: each _cmd_ handler returns (out, verdict), and only
+    # main writes a verb's line and maps the verdict to 0 or 1; _stop
+    # writes the help text
+    tree = dict(library_trees())["cli.py"]
+    functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    writers = {fn.name for fn in functions for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and ast.unparse(node.func) in ("sys.stdout.write", "print")}
+    assert writers == {"main", "_stop"}
+    returns = [node.value for fn in functions if fn.name.startswith("_cmd_")
+               for node in ast.walk(fn) if isinstance(node, ast.Return)]
+    assert returns and [ast.unparse(r) for r in returns
+                        if not (isinstance(r, ast.Tuple) and len(r.elts) == 2)] == []
+
+
 def test_tracer_wrapped_names_exist():
     # the traced benchmark replay patches every WRAPPED name with getattr,
     # so a name that no longer exists crashes it

@@ -3,6 +3,8 @@ stdout, under each of two hash seeds."""
 
 import os
 import pathlib
+import platform
+import re
 import subprocess
 import sys
 
@@ -23,3 +25,14 @@ def test_tour_output_matches_golden(args, golden, hashseed):
                        env={**os.environ, "PYTHONHASHSEED": hashseed})
     assert r.returncode == 0, r.stderr
     assert r.stdout == (ROOT / "tests" / "golden" / golden).read_text(encoding="utf-8")
+
+
+def test_check_outputs_passes_under_this_interpreter():
+    # scripts/check_outputs.py replays both scripts and the README examples
+    # under three hash seeds on any interpreters it is given; here on the
+    # one running the tests
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "check_outputs.py"),
+                        sys.executable], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert re.fullmatch(rf"outputs: \d+ runs under Python {platform.python_version()}"
+                        r" and hash seeds 0, 1, 2: 0 differ\n", r.stdout), r.stdout
